@@ -152,8 +152,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_agent_keys(cfg: ScenarioConfig):
+    """Reject agent keys that the configured algorithm would silently ignore."""
+    if cfg.get("agent", "algo") == "dqn" and cfg.get("agent", "per_user_networks"):
+        raise ConfigError("[agent] per_user_networks = true is not supported by "
+                          "[agent] algo = dqn, which trains one shared network")
+
+
 def _make_agent(cfg: ScenarioConfig, env: RisDownlinkEnv, seed: int):
     """The agent named by [agent] algo."""
+    _check_agent_keys(cfg)
     algo = cfg.get("agent", "algo")
     if algo == "random":
         return RandomPolicy(env, np.random.default_rng([seed, 77]))
@@ -239,7 +247,11 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs a nonempty value list")
-    cfg.copy().set_by_path(args.param, values[0])   # fail fast on a bad path
+    for value in values:        # fail fast on a bad path, value or agent key
+        point = cfg.copy()
+        point.set_by_path(args.param, value)
+        if args.mode == "train":
+            _check_agent_keys(point)
     text = dump_config(cfg)
     payloads = []
     for value in values:

@@ -173,8 +173,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "outer_truncation_mult": (_parse_float, 40.0),
         "inner_truncation_mult": (_parse_float, 40.0),
         "max_subdivisions": (_parse_int, 6),
-        "grid_points": (_parse_int, 50),
-        "golden_iters": (_parse_int, 24),
     },
     "quadrature.eval": {
         "rel_tol": (_parse_float, 1e-6),
@@ -182,8 +180,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "outer_truncation_mult": (_parse_float, 40.0),
         "inner_truncation_mult": (_parse_float, 40.0),
         "max_subdivisions": (_parse_int, 8),
-        "grid_points": (_parse_int, 200),
-        "golden_iters": (_parse_int, 60),
     },
     "run": {
         "seed": (_parse_int, 1),
@@ -261,8 +257,9 @@ class ScenarioConfig:
                               max_subdivisions=q["max_subdivisions"])
 
     def build_search(self, profile: str) -> SearchSpec:
-        q = self.values[f"quadrature.{profile}"]
-        return SearchSpec(grid_points=q["grid_points"], golden_iters=q["golden_iters"])
+        """Search controls for a quadrature profile; both profiles search
+        alike, since the Newton searches converge to their stated tolerances."""
+        return SearchSpec()
 
     @property
     def n_ceiling(self) -> float:

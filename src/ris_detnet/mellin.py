@@ -11,7 +11,18 @@ determinacy is the difference of the two clamped kernel infima.
 The service transform reduces to the double integral H(s) over the Eve and
 user SNR densities; it is evaluated by tensor-product Gauss-Legendre
 quadrature after substituting both variables onto the unit interval, with
-order doubling until the requested tolerance is met.
+order doubling until the requested tolerance is met.  The same exp tensor
+gives dH/ds and d^2H/ds^2, which steer the searches below.
+
+log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
+log-moment-generating function, the log product
+P(s) = log M_zeta(1+s) + log M_psi(1-s) is a sum of two of them, and
+-log(1 - e^P) is convex and increasing in P.  So the stability edge is the
+one root of P (found by tangent steps, each at most doubling s, then a
+tangent/secant bracket) and the kernel infimum is the one root of
+d/ds log K (safeguarded Newton inside a shrinking bracket).  Both searches
+read H through ``service_mellin_u_with_error``; the two horizons of a
+determinacy share the model's H cache.
 """
 from __future__ import annotations
 
@@ -25,6 +36,12 @@ from .channel import LinkStats
 from .fbc import SecrecyParams, q_inv
 
 LN2 = math.log(2.0)
+# the infimum search stops once its Newton model predicts that log K can fall
+# by no more than this (the bound is then within about this share of the
+# infimum), or once the Newton step is below SearchSpec.bisect_tol, which
+# keeps rounding noise in K near the minimum from stalling it
+LOG_K_TOL = 1e-14
+MAX_SEARCH_STEPS = 100
 
 
 class StabilityError(RuntimeError):
@@ -87,18 +104,19 @@ class QuadratureSpec:
 
 @dataclass
 class SearchSpec:
-    """Infimum-search controls for the kernel over the stability interval."""
+    """Search controls for the stability edge and the kernel infimum.
 
-    grid_points: int = 200
+    The edge is located to within ``bisect_tol`` on its stable side; an
+    edge beyond ``s_cap`` is reported as ``s_cap``.  The infimum is searched
+    on [s_floor, s_max * (1 - s_max_margin)].
+    """
+
     s_floor: float = 1e-4
     s_max_margin: float = 1e-6
     bisect_tol: float = 1e-8
-    golden_iters: int = 60
     s_cap: float = 64.0
 
     def __post_init__(self):
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
         if not 0 < self.s_floor < self.s_cap:
             raise ValueError("s_floor must be in (0, s_cap)")
 
@@ -123,8 +141,9 @@ class DelayWindow:
 class ServiceModel:
     """Secure-transmission service process: link stats + secrecy coding.
 
-    Holds a per-instance cache of H(s) evaluations so that kernel sweeps at
-    several horizons reuse the expensive quadrature.
+    Holds a per-instance cache of H(s) evaluations, keyed by s, so that the
+    searches at several horizons reuse the expensive quadrature.  Each entry
+    is (H, error estimate, dH/ds, d^2H/ds^2).
     """
 
     stats: LinkStats
@@ -160,18 +179,21 @@ class DeterminacyResult:
     quadrature_error_estimate: float
 
 
+def _arrival_exponent(model: ArrivalModel):
+    """(rate, scale) with log M_zeta(s) = scale * expm1(rate * (s - 1))."""
+    if model.variant == "paper_literal":
+        return 1.0, model.pkt_bits * model.lambda_pkts
+    return float(model.pkt_bits), model.lambda_pkts
+
+
 def arrival_mellin(s: float, model: ArrivalModel) -> float:
     """Mellin transform of the per-slot arrival increment at argument s.
 
     Saturates to +inf instead of overflowing; the caller sees the point as
     unstable.
     """
-    if model.variant == "paper_literal":
-        inner = s - 1.0
-        scale = model.pkt_bits * model.lambda_pkts
-    else:
-        inner = (s - 1.0) * model.pkt_bits
-        scale = model.lambda_pkts
+    rate, scale = _arrival_exponent(model)
+    inner = rate * (s - 1.0)
     if inner > 700.0:
         return math.inf
     expo = scale * math.expm1(inner)
@@ -188,12 +210,14 @@ def _gl_nodes(order: int):
 
 
 def _h_eval(s, stats, secrecy, spec, order):
-    """Fixed-order tensor evaluation of H(s).
+    """Fixed-order tensor evaluation of H(s), dH/ds and d^2H/ds^2.
 
     Both improper integrals are mapped onto the unit interval by the exact
     exponential substitutions gamma_e = -ln(1-q)/lambda_E and
     gamma_k = gamma_e - m*ln(1-p) with m = rho*delta^2, so the truncation
-    multipliers become fixed sub-unit upper limits.
+    multipliers become fixed sub-unit upper limits.  The log integrand is
+    linear in s with slope (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2,
+    so the derivatives weight the same exp tensor by that slope.
     """
     a = s / LN2
     lam_e = stats.lambda_eve
@@ -213,11 +237,14 @@ def _h_eval(s, stats, secrecy, spec, order):
     pen_e = np.sqrt(v_eve / n_cbl) * qinv_sigma
     gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
 
-    log_term = (a * (np.log1p(gamma_e)[:, None] - np.log1p(gamma_k))
-                + (a * pen_e - gamma_e / m)[:, None])
-    inner = np.exp(log_term) @ wi
+    log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
+    weight = np.exp(a * log_ratio + (a * pen_e - gamma_e / m)[:, None])
+    slope = log_ratio + (pen_e + pen_u)[:, None]           # ln2 * d/ds of the log
+    sloped = weight * slope
     prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * pen_u)
-    return prefac * float(wo @ inner)
+    return (prefac * float(wo @ (weight @ wi)),
+            prefac * float(wo @ (sloped @ wi)) / LN2,
+            prefac * float(wo @ ((sloped * slope) @ wi)) / (LN2 * LN2))
 
 
 def _h_tail_bound(s, stats, secrecy, spec):
@@ -247,30 +274,35 @@ def service_mellin_u(s: float, model: ServiceModel) -> float:
 
 
 def service_mellin_u_with_error(s: float, model: ServiceModel):
+    """(H(s), error estimate): H at the first order that agrees with half of
+    it within the tolerances, plus the analytic tail bound.  The cache entry
+    also keeps dH/ds and d^2H/ds^2 at that order.
+    """
     if s < 0:
         raise ValueError("transform argument must be >= 0")
     cached = model._h_cache.get(s)
     if cached is not None:
-        return cached
+        return cached[:2]
     spec = model.quadrature
     order = spec.base_order
     prev = None
-    result = None
+    entry = None
     for _ in range(spec.max_subdivisions):
-        val = _h_eval(s, model.stats, model.secrecy, spec, order)
+        val, d1, d2 = _h_eval(s, model.stats, model.secrecy, spec, order)
         if prev is not None:
             err = abs(val - prev)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
-                result = (val, err + _h_tail_bound(s, model.stats, model.secrecy, spec))
+                err += _h_tail_bound(s, model.stats, model.secrecy, spec)
+                entry = (val, err, d1, d2)
                 break
         prev = val
         order *= 2
-    if result is None:
+    if entry is None:
         raise QuadratureError(
             f"H(s={s:.6g}) did not converge within {spec.max_subdivisions} refinements")
-    model._h_cache[s] = result
-    model._h_err_max = max(model._h_err_max, result[1])
-    return result
+    model._h_cache[s] = entry
+    model._h_err_max = max(model._h_err_max, entry[1])
+    return entry[:2]
 
 
 def service_mellin(s_arg: float, model: ServiceModel) -> float:
@@ -332,51 +364,97 @@ def stability_product(s: float, arrival: ArrivalModel, service: ServiceModel) ->
     return m_arr * service_mellin(1.0 - s, service)
 
 
+def _transforms(s: float, arrival: ArrivalModel, service: ServiceModel):
+    """M_zeta(1+s), M_psi(1-s) and the first two s-derivatives of the log of
+    each, as (m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv)).
+    """
+    m_arr = arrival_mellin(1.0 + s, arrival)
+    rate, scale = _arrival_exponent(arrival)
+    d_arr = math.inf if rate * s > 700.0 else scale * rate * math.exp(rate * s)
+    eps = service.secrecy.epsilon_e
+    h, _ = service_mellin_u_with_error(s, service)
+    _, _, dh, ddh = service._h_cache[s]
+    m_srv = (1.0 - eps) * h + eps
+    d_srv = (1.0 - eps) * dh / m_srv
+    return (m_arr, m_srv, (d_arr, rate * d_arr),
+            (d_srv, (1.0 - eps) * ddh / m_srv - d_srv * d_srv))
+
+
 def stability_smax(arrival: ArrivalModel, service: ServiceModel,
                    search: SearchSpec | None = None) -> float | None:
     """Right edge of the stability interval, or None when it is empty.
 
-    The product is probed at the grid floor; if already >= 1 there the
-    interval is treated as empty (bound vacuous).  Otherwise the edge is
-    bracketed by doubling and located by bisection.
+    The product is probed at the floor; if already >= 1 there the interval
+    is treated as empty (bound vacuous).  Otherwise the edge is the root of
+    the convex log product P(s).  Tangent steps climb from the floor, each
+    at most doubling s, so H is never asked for far past the edge, where
+    its quadrature needs very high orders.  Once a point is unstable, the
+    root lies between the secant root of the bracket (below, by convexity)
+    and the tangent roots (above); the next probe is the upper estimate,
+    or the lower one once the two are within ``bisect_tol``.  Returns the
+    stable side of a bracket no wider than ``bisect_tol``.
     """
     search = search or SearchSpec()
+
+    def probe(s):
+        m_arr, m_srv, (d_arr, _), (d_srv, _) = _transforms(s, arrival, service)
+        product = m_arr * m_srv
+        return product < 1.0, math.log(product), d_arr + d_srv
+
     lo = search.s_floor
-    if not stability_product(lo, arrival, service) < 1.0:
+    stable, p_lo, d_lo = probe(lo)
+    if not stable:
         return None
-    hi = lo
-    while stability_product(hi, arrival, service) < 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > search.s_cap:
+    for _ in range(MAX_SEARCH_STEPS):
+        s = 2.0 * lo
+        if d_lo > 0.0:
+            s = min(s, lo - p_lo / d_lo)
+        if s > search.s_cap:
             return search.s_cap
-    while hi - lo > search.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if stability_product(mid, arrival, service) < 1.0:
-            lo = mid
+        stable, p, d = probe(s)
+        if not stable:
+            break
+        lo, p_lo, d_lo = s, p, d
+    else:
+        return lo
+    hi, p_hi, d_hi = s, p, d
+    for _ in range(MAX_SEARCH_STEPS):
+        if hi - lo <= search.bisect_tol:
+            break
+        upper = hi
+        for s0, p0, d0 in ((lo, p_lo, d_lo), (hi, p_hi, d_hi)):
+            if 0.0 < d0 < math.inf and math.isfinite(p0):
+                upper = min(upper, s0 - p0 / d0)
+        lower = lo
+        if math.isfinite(p_hi):
+            lower = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+        s = lower if upper - lower <= search.bisect_tol and lower > lo else upper
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        stable, p, d = probe(s)
+        if stable:
+            lo, p_lo, d_lo = s, p, d
         else:
-            hi = mid
+            hi, p_hi, d_hi = s, p, d
     return lo
 
 
-def _golden_min(f, lo, hi, iters):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12 * max(1.0, b):
-            break
-    return (c, fc) if fc < fd else (d, fd)
+def _log_kernel_probe(s, horizon, arrival, service):
+    """(K(s, T), d/ds log K, d^2/ds^2 log K); K = inf off the stability set.
+
+    log K = T*log M_psi - log(1 - e^P) with e^P the transform product.
+    """
+    m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv) = _transforms(s, arrival, service)
+    try:
+        k = kernel_from_values(m_arr, m_srv, horizon)
+    except StabilityError:
+        return math.inf, math.inf, math.inf
+    product = m_arr * m_srv
+    g1 = product / (1.0 - product)          # d/dP of -log(1 - e^P)
+    p1 = d_arr + d_srv
+    f1 = horizon * d_srv + g1 * p1
+    f2 = horizon * dd_srv + g1 * (dd_arr + dd_srv) + g1 * p1 * p1 / (1.0 - product)
+    return k, f1, f2
 
 
 def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
@@ -384,8 +462,15 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
                     s_max: float | None = None) -> ViolationBound:
     """min(1, inf_{s in stability interval} K(s, T)) with the optimizing s.
 
-    Log-spaced grid scan followed by golden-section refinement around the
-    grid minimum; an empty stability interval yields the vacuous bound 1.
+    log K is convex, so its infimum on [s_floor, hi] with
+    hi = s_max*(1 - s_max_margin) is the floor when d/ds log K >= 0 there,
+    else the root of d/ds log K.  Every H value already cached on the
+    interval (the stability search, another horizon) is a free probe that
+    narrows the bracket; safeguarded Newton steps from the best probe then
+    locate the root, falling back to geometric bisection when a step leaves
+    the bracket.  The bound is K at the best probe, so it comes only from
+    converged H values.  An empty stability interval yields the vacuous
+    bound 1.
     """
     search = search or SearchSpec()
     if s_max is None:
@@ -393,24 +478,49 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
     if s_max is None:
         return ViolationBound(1.0, search.s_floor, math.nan, True, math.inf)
 
-    def safe_kernel(s):
-        try:
-            val = kernel(s, horizon, arrival, service)
-        except StabilityError:
-            return math.inf
-        return val if np.isfinite(val) else math.inf
+    lo_end = search.s_floor
+    hi_end = max(lo_end, s_max * (1.0 - search.s_max_margin))
+    probes = {}
 
-    hi = s_max * (1.0 - search.s_max_margin)
-    grid = np.geomspace(search.s_floor, hi, search.grid_points)
-    vals = np.array([safe_kernel(s) for s in grid])
-    if not np.any(np.isfinite(vals)):
+    def probe(s):
+        probes[s] = _log_kernel_probe(s, horizon, arrival, service)
+        return probes[s][1]
+
+    probe(lo_end)
+    for s in list(service._h_cache):
+        if lo_end < s <= hi_end:
+            probe(s)
+    # the root of f' = d/ds log K lies in [lo, hi]: f' < 0 at a probed lo
+    # (else lo = hi = the floor), f' >= 0 at hi once hi is probed
+    lo, hi = lo_end, hi_end
+    for s, (_, f1, _) in probes.items():
+        if f1 < 0.0:
+            lo = max(lo, s)
+        else:
+            hi = min(hi, s)
+    for _ in range(MAX_SEARCH_STEPS):
+        if hi - lo <= search.bisect_tol:
+            if hi not in probes:
+                probe(hi)
+            break
+        s_best = min(probes, key=lambda x: probes[x][0])
+        _, f1, f2 = probes[s_best]
+        s = math.nan
+        if 0.0 < f2 < math.inf:
+            step = f1 / f2
+            if 0.5 * f1 * step <= LOG_K_TOL or abs(step) <= search.bisect_tol:
+                break
+            s = s_best - step
+        if not lo < s < hi:
+            s = math.sqrt(lo * hi)
+        if probe(s) < 0.0:
+            lo = s
+        else:
+            hi = s
+    s_star = min(probes, key=lambda x: probes[x][0])
+    f_star = probes[s_star][0]
+    if not math.isfinite(f_star):
         return ViolationBound(1.0, search.s_floor, s_max, True, math.inf)
-    i = int(np.argmin(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, len(grid) - 1)]
-    s_star, f_star = _golden_min(safe_kernel, lo_b, hi_b, search.golden_iters)
-    if vals[i] < f_star:
-        s_star, f_star = float(grid[i]), float(vals[i])
     return ViolationBound(min(1.0, f_star), float(s_star), float(s_max), False,
                           float(f_star))
 

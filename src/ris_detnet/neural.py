@@ -153,7 +153,8 @@ class OptimizerState:
     """Adaptive-moment updates with bias correction.
 
     Decay rates (0, 0) bypass the moment machinery entirely and apply the
-    literal rule p -= lr * g.
+    literal rule p -= lr * g.  ``scratch`` holds two work arrays per
+    parameter array so that a step allocates nothing; it is not saved.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -167,6 +168,7 @@ class OptimizerState:
         self.step_count = 0
         self.m = None
         self.v = None
+        self.scratch = None
 
     def to_blob(self) -> dict:
         return {
@@ -187,7 +189,12 @@ class OptimizerState:
 
 
 def optimizer_step(params, grads, opt: OptimizerState):
-    """One in-place update of every parameter array."""
+    """One in-place update of every parameter array.
+
+    p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in the state's scratch
+    arrays operation by operation in that order, so the result is the same
+    to the bit as the expression evaluated with temporaries.
+    """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     opt.step_count += 1
@@ -198,15 +205,26 @@ def optimizer_step(params, grads, opt: OptimizerState):
     if opt.m is None:
         opt.m = [np.zeros_like(p) for p in params]
         opt.v = [np.zeros_like(p) for p in params]
+    if opt.scratch is None:
+        opt.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     t = opt.step_count
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+    m_scale = 1.0 - opt.beta1 ** t
+    v_scale = 1.0 - opt.beta2 ** t
+    for p, g, m, v, (a, b) in zip(params, grads, opt.m, opt.v, opt.scratch):
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        np.multiply(1.0 - opt.beta1, g, out=a)
+        m += a
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        m_hat = m / (1.0 - opt.beta1 ** t)
-        v_hat = v / (1.0 - opt.beta2 ** t)
-        p -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        np.multiply(1.0 - opt.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, m_scale, out=a)         # m_hat
+        a *= opt.lr
+        np.divide(v, v_scale, out=b)         # v_hat
+        np.sqrt(b, out=b)
+        b += opt.eps
+        a /= b
+        p -= a
 
 
 def clip_global_norm(grads, max_norm: float):

@@ -65,7 +65,9 @@ def test_invalid_window_names_section():
 
 def test_unknown_key_and_section_rejected():
     for text in ("[delay]\nt_mni = 5\n", "[delay]\nslot_ms = 1.0\n",
-                 "[agent]\ncheckpoint_every = 50\n"):
+                 "[agent]\ncheckpoint_every = 50\n",
+                 "[quadrature.train]\ngrid_points = 50\n",
+                 "[quadrature.eval]\ngolden_iters = 60\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config_text(text)
     with pytest.raises(ConfigError, match="unknown section"):
@@ -270,6 +272,22 @@ def test_cli_evaluate_random_is_config_error(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "[agent] algo" in capsys.readouterr().err
     assert not (tmp_path / "o" / "evaluate.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"], ["evaluate"],
+    ["sweep", "--mode", "train", "--param", "agent.episodes", "--values", "1,2"]],
+    ids=["train", "evaluate", "sweep"])
+def test_cli_dqn_per_user_networks_is_config_error(tmp_path, capsys, argv):
+    # DqnAgent keeps one network, so the key would be accepted and ignored
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace("[agent]\n",
+                                      "[agent]\nalgo = dqn\nper_user_networks = true\n"))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[agent] per_user_networks" in err and "[agent] algo" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_strict_only_on_simulate():

@@ -283,3 +283,116 @@ def test_lemma_closed_form_matches_composed_kernel():
                 composed = kernel(s, horizon, arr, svc)
                 closed = lemma1_kernel(s, horizon, arr, svc)
                 assert closed == pytest.approx(composed, rel=1e-6)
+
+
+# ------------------------------------------------------------- search equivalence
+
+def _reference_determinacy(window, arrival, service, search):
+    """Reference for the Newton searches, built on the public transforms only.
+
+    The stability edge by doubling and bisection of the transform product;
+    each bound by a dense log-spaced scan of kernel() and a golden-section
+    refinement between the scan neighbours of its minimum.  Returns s_max
+    (None when the interval is empty) and the clamped flags.
+    """
+    def stable(s):
+        return stability_product(s, arrival, service) < 1.0
+
+    if not stable(search.s_floor):
+        return None, (1.0, 1.0), {"tmin": True, "tmax": True, "vacuous": True,
+                                  "ordering": False}
+    lo = hi = search.s_floor
+    while stable(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    grid = np.geomspace(search.s_floor, lo * (1.0 - search.s_max_margin), 120)
+    raw = []
+    for horizon in (window.t_min, window.t_max):
+        vals = [kernel(s, horizon, arrival, service) for s in grid]
+        i = int(np.argmin(vals))
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        best = vals[i]
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(30):
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            fc, fd = (kernel(x, horizon, arrival, service) for x in (c, d))
+            best = min(best, fc, fd)
+            a, b = (a, d) if fc < fd else (c, b)
+        raw.append(best)
+    bounds = (min(1.0, raw[0]), min(1.0, raw[1]))
+    return lo, bounds, {"tmin": raw[0] > 1.0, "tmax": raw[1] > 1.0, "vacuous": False,
+                        "ordering": not bounds[1] <= bounds[0] + 1e-12}
+
+
+def _reference_config_services():
+    """The analyze allocation of the reference config, one service per user."""
+    from ris_detnet.config import default_config
+    from ris_detnet.env import RisDownlinkEnv
+    cfg = default_config()
+    env = RisDownlinkEnv(cfg)
+    power, cbl = env.p_max / env.n_users, env.n_max / env.n_users
+    codeword = cfg.get("allocation", "codeword")
+    return cfg, [
+        (lambda k=k: ServiceModel(
+            LinkStats(float(env.delta_sq[k]), float(env.upsilon[k, codeword]),
+                      power / env.noise_w, env.lambda_eve),
+            cfg.build_secrecy(cbl), cfg.build_quadrature("eval")))
+        for k in range(env.n_users)]
+
+
+TRAIN_QUADRATURE = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-12, max_subdivisions=6)
+
+
+def _equivalence_cases():
+    cfg, users = _reference_config_services()
+    ref_window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    cases = [pytest.param(ref_window, cfg.build_arrival(), make,
+                          id=f"reference config user {k}, floor minima")
+             for k, make in enumerate(users)]
+    return cases + [
+        pytest.param(DelayWindow(2, 8), ARRIVAL, make_service,
+                     id="pkt_bits 16, interior minima"),
+        pytest.param(DelayWindow(2, 8), ARRIVAL,
+                     lambda: ServiceModel(make_stats(), SecrecyParams(2e-6, 1e-3, 64.0),
+                                          TRAIN_QUADRATURE),
+                     id="pkt_bits 16, train quadrature"),
+        pytest.param(DelayWindow(2, 8), ArrivalModel(0.08, 64), make_service,
+                     id="pkt_bits 64, interior minima"),
+        pytest.param(DelayWindow(0, 4), ArrivalModel(0.05, 64, "paper_literal"),
+                     make_service, id="paper_literal, t_min 0 clamped"),
+        pytest.param(DelayWindow(2, 8), ArrivalModel(50.0, 1024), make_service,
+                     id="vacuous"),
+        pytest.param(DelayWindow(2, 8), ArrivalModel(0.2, 2),
+                     lambda: make_service(blocklength=256.0), id="high rho, s_max 1.57"),
+    ]
+
+
+@pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
+def test_search_matches_dense_scan_reference(window, arrival, make):
+    # stated tolerance: |bound difference| <= 1e-9, s_max within bisect_tol
+    # of the reference edge, identical flags, no quadrature failure
+    search = SearchSpec()
+    res = delay_determinacy(window, arrival, make(), search)
+    s_max, bounds, flags = _reference_determinacy(window, arrival, make(), search)
+    assert abs(res.bound_tmin - bounds[0]) <= 1e-9
+    assert abs(res.bound_tmax - bounds[1]) <= 1e-9
+    assert res.clamped == flags
+    if s_max is None:
+        assert math.isnan(res.s_max)
+    else:
+        assert abs(res.s_max - s_max) <= search.bisect_tol + 1e-10
+        assert stability_product(res.s_max, arrival, make()) < 1.0
+
+
+def test_determinacy_h_evaluation_count():
+    # one cold eval-profile determinacy at the analyze allocation of the
+    # reference config integrates H at no more than 26 distinct s values
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    for make in users:
+        service = make()
+        delay_determinacy(window, cfg.build_arrival(), service,
+                          cfg.build_search("eval"))
+        assert len(service._h_cache) <= 26

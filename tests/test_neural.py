@@ -195,6 +195,30 @@ def test_parameter_count_invariant_under_steps():
     assert [p.shape for p in net.parameters()] == shapes
 
 
+def test_optimizer_step_matches_adam_formula_bitwise():
+    # the in-place step against the expression it evaluates, with temporaries
+    rng = np.random.default_rng(8)
+    net = Mlp([5, 7, 3], rng)
+    ref = [p.copy() for p in net.parameters()]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    opt = OptimizerState(lr=0.01)
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    for t in range(1, 51):
+        grads = [rng.normal(size=p.shape) for p in ref]
+        optimizer_step(net.parameters(), grads, opt)
+        for p, g, mi, vi in zip(ref, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            m_hat = mi / (1.0 - b1 ** t)
+            v_hat = vi / (1.0 - b2 ** t)
+            p -= opt.lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, r in zip(net.parameters(), ref):
+            assert np.array_equal(p, r)
+
+
 def test_clip_global_norm():
     grads = [np.array([3.0, 4.0])]     # norm 5
     clipped = clip_global_norm(grads, 1.0)
