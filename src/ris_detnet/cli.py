@@ -23,7 +23,8 @@ from .charts import svg_line_chart
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, load_config)
 from .env import RisDownlinkEnv
-from .mellin import QuadratureError, ServiceModel, violation_bound
+from .mellin import (QuadratureError, SearchError, ServiceModel, stability_smax,
+                     violation_bound)
 from .queuesim import (fbc_service_sampler, model_matched_service_sampler,
                        simulate_queue)
 
@@ -126,6 +127,8 @@ def cmd_simulate(args) -> int:
         secrecy = cfg.build_secrecy(cbl)
         service = ServiceModel(stats, secrecy, cfg.build_quadrature("eval"))
         search = cfg.build_search("eval")
+        arrival = cfg.build_arrival()
+        s_max = stability_smax(arrival, service, search)
         if args.sampler == "model":
             sampler = model_matched_service_sampler(stats, secrecy)
         else:
@@ -133,11 +136,10 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng([seed, 40, k])
         lam = cfg.get("arrival", "lambda_pkts")
         horizon = min(args.horizon, int(args.packets / lam * 1.3) + 2000)
-        qres = simulate_queue(cfg.build_arrival(), sampler, horizon,
-                              args.packets, rng)
+        qres = simulate_queue(arrival, sampler, horizon, args.packets, rng)
         for t in (env.window.t_min, env.window.t_max):
             emp, ci = qres.tail_prob(t)
-            bound = violation_bound(t, cfg.build_arrival(), service, search).bound
+            bound = violation_bound(t, arrival, service, search, s_max=s_max).bound
             ok = (not math.isfinite(emp)) or emp <= bound + 2 * ci
             violated |= not ok
             rows.append({"user_id": k, "t": t, "empirical": emp,
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, FloatingPointError, ValueError) as exc:
+    except (QuadratureError, SearchError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

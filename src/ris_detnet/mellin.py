@@ -18,11 +18,13 @@ log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
 log-moment-generating function, the log product
 P(s) = log M_zeta(1+s) + log M_psi(1-s) is a sum of two of them, and
 -log(1 - e^P) is convex and increasing in P.  So the stability edge is the
-one root of P (found by tangent steps, each at most doubling s, then a
-tangent/secant bracket) and the kernel infimum is the one root of
-d/ds log K (safeguarded Newton inside a shrinking bracket).  Both searches
-read H through ``service_mellin_u_with_error``; the two horizons of a
-determinacy share the model's H cache.
+one root of P and the kernel infimum is the floor or the one root of
+d/ds log K.  The arrival half of P is known in closed form, so the edge
+search models only log M_psi, by its tangents (below it) and chords (above
+it), and takes its next probe from the root of the exact-arrival model.
+The infimum search is safeguarded Newton inside a shrinking bracket.  Both
+searches read H through ``service_mellin_u_with_error``; the two horizons
+of a determinacy share the model's H cache.
 """
 from __future__ import annotations
 
@@ -56,6 +58,10 @@ class StabilityError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Service-transform quadrature failed to converge."""
+
+
+class SearchError(RuntimeError):
+    """A search used up MAX_SEARCH_STEPS probes without closing its bracket."""
 
 
 @dataclass
@@ -150,7 +156,6 @@ class ServiceModel:
     secrecy: SecrecyParams
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     _h_cache: dict = field(default_factory=dict, repr=False)
-    _h_err_max: float = field(default=0.0, repr=False)
 
 
 @dataclass
@@ -301,7 +306,6 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
         raise QuadratureError(
             f"H(s={s:.6g}) did not converge within {spec.max_subdivisions} refinements")
     model._h_cache[s] = entry
-    model._h_err_max = max(model._h_err_max, entry[1])
     return entry[:2]
 
 
@@ -380,63 +384,120 @@ def _transforms(s: float, arrival: ArrivalModel, service: ServiceModel):
             (d_srv, (1.0 - eps) * ddh / m_srv - d_srv * d_srv))
 
 
+def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
+    """Root above lo of f(s) = scale*expm1(rate*s) + c0 + c1*s, where f(lo) < 0.
+
+    f is convex, so Newton steps that start where f >= 0 descend onto the
+    root and never pass it; an unbounded hi is first replaced by doubling
+    from lo.  Where f overflows the step is a bisection instead.  Returns
+    the last point with f >= 0: lo itself when f(lo) >= 0 after all, and
+    a finite hi when the root lies past it.  Costs no H.
+    """
+    def f(s):
+        x = rate * s
+        if x > 700.0:
+            return math.inf, math.inf
+        return scale * math.expm1(x) + c0 + c1 * s, scale * rate * math.exp(x) + c1
+
+    if f(lo)[0] >= 0.0:
+        return lo
+    if math.isinf(hi):
+        hi = 2.0 * lo
+        while f(hi)[0] < 0.0:
+            lo, hi = hi, 2.0 * hi
+    elif f(hi)[0] < 0.0:
+        return hi
+    for _ in range(MAX_SEARCH_STEPS):
+        v, d = f(hi)
+        s = hi - v / d if math.isfinite(v) and d > 0.0 else 0.5 * (lo + hi)
+        if not lo < s < hi:
+            break
+        if f(s)[0] < 0.0:
+            lo = s
+        else:
+            hi = s
+    return hi
+
+
 def stability_smax(arrival: ArrivalModel, service: ServiceModel,
                    search: SearchSpec | None = None) -> float | None:
     """Right edge of the stability interval, or None when it is empty.
 
     The product is probed at the floor; if already >= 1 there the interval
     is treated as empty (bound vacuous).  Otherwise the edge is the root of
-    the convex log product P(s).  Tangent steps climb from the floor, each
-    at most doubling s, so H is never asked for far past the edge, where
-    its quadrature needs very high orders.  Once a point is unstable, the
-    root lies between the secant root of the bracket (below, by convexity)
-    and the tangent roots (above); the next probe is the upper estimate,
-    or the lower one once the two are within ``bisect_tol``.  Returns the
-    stable side of a bracket no wider than ``bisect_tol``.
+    the convex log product P(s) = A(s) + L(s), with the arrival part
+    A(s) = scale*expm1(rate*s) exact and L(s) = log M_psi(1-s) a convex
+    log-MGF.  Only L is modelled, so the two bounds below cost no H:
+
+    - the tangent of L at a probe lies below L, so the root of A plus that
+      tangent is an upper bound on the edge;
+    - the chord of L between a stable lo and an unstable hi lies above L
+      there, so the root of A plus that chord is a lower bound.
+
+    Each step probes the tighter upper bound (from the floor it lands just
+    past the edge), or the lower bound once the two are within
+    ``bisect_tol``, or lo + ``bisect_tol`` once the upper bound is that
+    close to lo.  A bound past ``s_cap`` probes ``s_cap`` itself, which is
+    returned when stable.  Far past the edge H may not converge (at high
+    rho the upper bound from the floor can overshoot there): a probe more
+    than twice the stable side that raises QuadratureError only caps the
+    later probes, which then halve the gap to it; a failure within twice
+    the stable side, where a doubling climb would probe too, is raised.
+    Returns the stable side of a probed bracket no wider than
+    ``bisect_tol``; raises SearchError when MAX_SEARCH_STEPS probes do not
+    close it.
     """
     search = search or SearchSpec()
+    rate, scale = _arrival_exponent(arrival)
+    tol = search.bisect_tol
 
     def probe(s):
-        m_arr, m_srv, (d_arr, _), (d_srv, _) = _transforms(s, arrival, service)
-        product = m_arr * m_srv
-        return product < 1.0, math.log(product), d_arr + d_srv
+        m_arr, m_srv, _, (d_srv, _) = _transforms(s, arrival, service)
+        return m_arr * m_srv < 1.0, math.log(m_srv), d_srv
+
+    def model_root(l_x, slope, x, lo, hi):
+        """Root of A plus the line through (x, l_x) with the given slope."""
+        return _exact_arrival_root(rate, scale, l_x - slope * x, slope, lo, hi)
 
     lo = search.s_floor
-    stable, p_lo, d_lo = probe(lo)
+    stable, l_lo, g_lo = probe(lo)
     if not stable:
         return None
+    hi, l_hi, g_hi = math.inf, math.nan, math.nan
+    ceiling = math.inf      # lowest probe whose H did not converge
     for _ in range(MAX_SEARCH_STEPS):
-        s = 2.0 * lo
-        if d_lo > 0.0:
-            s = min(s, lo - p_lo / d_lo)
-        if s > search.s_cap:
-            return search.s_cap
-        stable, p, d = probe(s)
-        if not stable:
-            break
-        lo, p_lo, d_lo = s, p, d
-    else:
-        return lo
-    hi, p_hi, d_hi = s, p, d
-    for _ in range(MAX_SEARCH_STEPS):
-        if hi - lo <= search.bisect_tol:
-            break
-        upper = hi
-        for s0, p0, d0 in ((lo, p_lo, d_lo), (hi, p_hi, d_hi)):
-            if 0.0 < d0 < math.inf and math.isfinite(p0):
-                upper = min(upper, s0 - p0 / d0)
-        lower = lo
-        if math.isfinite(p_hi):
-            lower = lo - p_lo * (hi - lo) / (p_hi - p_lo)
-        s = lower if upper - lower <= search.bisect_tol and lower > lo else upper
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi)
-        stable, p, d = probe(s)
-        if stable:
-            lo, p_lo, d_lo = s, p, d
+        upper = model_root(l_lo, g_lo, lo, lo, hi)
+        if hi < math.inf:
+            upper = min(upper, model_root(l_hi, g_hi, hi, lo, hi))
+        if upper - lo <= tol:
+            s = lo + tol
         else:
-            hi, p_hi, d_hi = s, p, d
-    return lo
+            s = upper
+            if hi < math.inf:
+                lower = model_root(l_lo, (l_hi - l_lo) / (hi - lo), lo, lo, hi)
+                if lo < lower and upper - lower <= tol:
+                    s = lower
+        s = min(s, search.s_cap)
+        top = min(hi, ceiling)
+        if not lo < s < top:
+            s = 0.5 * (lo + top)
+        try:
+            stable, l_s, g_s = probe(s)
+        except QuadratureError:
+            if s <= 2.0 * lo:
+                raise
+            ceiling = s
+            continue
+        if stable:
+            if s == search.s_cap:
+                return s
+            lo, l_lo, g_lo = s, l_s, g_s
+        else:
+            hi, l_hi, g_hi = s, l_s, g_s
+        if hi - lo <= tol:
+            return lo
+    raise SearchError(f"stability edge not bracketed within {MAX_SEARCH_STEPS} "
+                      f"probes: stable at {lo:.17g}, unstable at {hi:.17g}")
 
 
 def _log_kernel_probe(s, horizon, arrival, service):
@@ -532,7 +593,9 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
 
     varpi = bound(t_min) - bound(t_max), clamped to [0, 1]; ordering_ok
     records the checkable surrogate bound(t_max) <= bound(t_min) of the
-    kernel-ordering constraint.
+    kernel-ordering constraint.  The quadrature error estimate is the larger
+    one of the two H values behind the reported bounds, at s_star_tmin and
+    s_star_tmax, so probes that no bound uses do not move it.
     """
     search = search or SearchSpec()
     s_max = stability_smax(arrival, service, search)
@@ -555,5 +618,6 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
         s_max=b_min.s_max,
         ordering_ok=ordering_ok,
         clamped=clamped,
-        quadrature_error_estimate=service._h_err_max,
+        quadrature_error_estimate=max(service._h_cache[b.s_star][1]
+                                      for b in (b_min, b_max)),
     )

@@ -181,6 +181,33 @@ def test_cli_simulate_model_sampler_dominates(tmp_path):
     assert len(lines) == 3 + 2 * 2    # two users x two horizons
 
 
+def test_cli_simulate_searches_one_edge_per_user(tmp_path, monkeypatch):
+    # both horizons of a user reuse the one stability edge
+    from ris_detnet import cli, mellin
+    original, calls = mellin.stability_smax, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mellin, "stability_smax", counted)
+    monkeypatch.setattr(cli, "stability_smax", counted)
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--packets", "2000", "--sampler", "model"]) == 0
+    assert len(calls) == 2      # two users
+
+
+def test_cli_unbracketed_stability_edge_exit_code(tmp_path, monkeypatch, capsys):
+    from ris_detnet import mellin
+    monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "stability edge not bracketed" in capsys.readouterr().err
+
+
 def test_cli_sweep_single_value_matches_analyze(tmp_path):
     from ris_detnet.cli import analyze_rows
     cfg_path = tmp_path / "s.cfg"

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from ris_detnet import mellin
 from ris_detnet.channel import LinkStats
 from ris_detnet.fbc import SecrecyParams, dispersion, q_inv
-from ris_detnet.mellin import (ArrivalModel, DelayWindow, QuadratureSpec,
-                               SearchSpec, ServiceModel, StabilityError,
+from ris_detnet.mellin import (ArrivalModel, DelayWindow, QuadratureError,
+                               QuadratureSpec, SearchError, SearchSpec,
+                               ServiceModel, StabilityError,
                                arrival_mellin, delay_determinacy, kernel,
                                kernel_from_values, lemma1_kernel,
                                service_mellin, service_mellin_u,
@@ -287,6 +291,23 @@ def test_lemma_closed_form_matches_composed_kernel():
 
 # ------------------------------------------------------------- search equivalence
 
+def _reference_edge(arrival, service, search):
+    """The stability edge by doubling from s_floor and bisection of the
+    transform product to 1e-10; None when the floor is unstable."""
+    def stable(s):
+        return stability_product(s, arrival, service) < 1.0
+
+    if not stable(search.s_floor):
+        return None
+    lo = hi = search.s_floor
+    while stable(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return lo
+
+
 def _reference_determinacy(window, arrival, service, search):
     """Reference for the Newton searches, built on the public transforms only.
 
@@ -295,18 +316,10 @@ def _reference_determinacy(window, arrival, service, search):
     refinement between the scan neighbours of its minimum.  Returns s_max
     (None when the interval is empty) and the clamped flags.
     """
-    def stable(s):
-        return stability_product(s, arrival, service) < 1.0
-
-    if not stable(search.s_floor):
+    lo = _reference_edge(arrival, service, search)
+    if lo is None:
         return None, (1.0, 1.0), {"tmin": True, "tmax": True, "vacuous": True,
                                   "ordering": False}
-    lo = hi = search.s_floor
-    while stable(hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
     grid = np.geomspace(search.s_floor, lo * (1.0 - search.s_max_margin), 120)
     raw = []
     for horizon in (window.t_min, window.t_max):
@@ -396,3 +409,110 @@ def test_determinacy_h_evaluation_count():
         delay_determinacy(window, cfg.build_arrival(), service,
                           cfg.build_search("eval"))
         assert len(service._h_cache) <= 26
+
+
+def test_stability_edge_h_evaluation_count():
+    # the exact-arrival bounds find the edge of each analyze user of the
+    # reference config in a few probes; the doubling climb took 10-11
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    for make in users:
+        service = make()
+        delay_determinacy(window, cfg.build_arrival(), service,
+                          cfg.build_search("eval"))
+        assert len(service._h_cache) <= 6
+
+
+def test_stability_smax_raises_when_bracket_not_closed(monkeypatch):
+    monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
+    with pytest.raises(SearchError):
+        stability_smax(ARRIVAL, make_service())
+
+
+def test_stability_smax_probes_s_cap():
+    # an edge past s_cap is reported as s_cap only once s_cap is probed
+    # stable; the first step from this floor would pass s_cap
+    service = make_service()
+    edge = stability_smax(ARRIVAL, service)
+    cap = SearchSpec(s_floor=edge / 4, s_cap=edge / 3)
+    service = make_service()
+    assert stability_smax(ARRIVAL, service, cap) == cap.s_cap
+    assert cap.s_cap in service._h_cache
+    below = SearchSpec(s_cap=edge * 1.5)
+    assert stability_smax(ARRIVAL, make_service(), below) == pytest.approx(
+        edge, abs=below.bisect_tol)
+
+
+def test_stability_smax_steps_back_from_unconverged_overshoot(monkeypatch):
+    # at rho 1e14 the upper bound from the floor lands where H does not
+    # converge; the search steps back and still brackets the edge
+    arrival = ArrivalModel(0.35, 16, "paper_literal")
+    failed = []
+
+    def make():
+        return make_service(blocklength=128.0, rho=1e14)
+
+    def recording(s, model):
+        try:
+            return service_mellin_u_with_error(s, model)
+        except QuadratureError:
+            failed.append(s)
+            raise
+
+    monkeypatch.setattr(mellin, "service_mellin_u_with_error", recording)
+    s_max = stability_smax(arrival, make())
+    assert failed
+    assert stability_product(s_max, arrival, make()) < 1.0
+    assert stability_product(s_max + 1e-6, arrival, make()) >= 1.0 - 1e-9
+
+
+def test_error_estimate_ignores_probes_past_edge():
+    # the estimate comes from the H values behind the bounds, so an H that
+    # no bound uses (here one at twice the edge, whose error estimate is
+    # four times the reported one) does not move it
+    def make():
+        return ServiceModel(make_stats(), SecrecyParams(2e-6, 1e-3, 64.0),
+                            TRAIN_QUADRATURE)
+
+    window = DelayWindow(2, 8)
+    plain = delay_determinacy(window, ARRIVAL, make())
+    service = make()
+    _, far_err = service_mellin_u_with_error(2.0 * plain.s_max, service)
+    assert far_err > plain.quadrature_error_estimate
+    probed = delay_determinacy(window, ARRIVAL, service)
+    assert probed.quadrature_error_estimate == plain.quadrature_error_estimate
+    assert (probed.bound_tmin, probed.bound_tmax) == (plain.bound_tmin, plain.bound_tmax)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(lam=0.35, pkt_bits=2, log_rho=14.0, blocklength=32.0,
+         variant="standard_compound")      # both raise QuadratureError
+@given(lam=st.floats(0.01, 2.0), pkt_bits=st.sampled_from([1, 2, 4, 16, 64, 256]),
+       log_rho=st.floats(10.0, 14.0), blocklength=st.floats(16.0, 1024.0),
+       variant=st.sampled_from(["standard_compound", "paper_literal"]))
+def test_stability_smax_matches_bisection_reference(lam, pkt_bits, log_rho,
+                                                    blocklength, variant):
+    # the edge lies within bisect_tol of the doubling-plus-bisection edge and
+    # is stable; the search may fail to converge H only where the reference
+    # fails too
+    arrival = ArrivalModel(lam, pkt_bits, variant)
+    search = SearchSpec()
+
+    def make():
+        return make_service(blocklength=blocklength, rho=10.0 ** log_rho)
+
+    try:
+        s_max = stability_smax(arrival, make(), search)
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            _reference_edge(arrival, make(), search)
+        return
+    try:
+        ref = _reference_edge(arrival, make(), search)
+    except QuadratureError:
+        return
+    if ref is None:
+        assert s_max is None
+        return
+    assert abs(s_max - ref) <= search.bisect_tol + 1e-10
+    assert stability_product(s_max, arrival, make()) < 1.0
