@@ -2,8 +2,8 @@
 secure IIoT downlink."""
 
 from .channel import (ChannelRealization, FadingParams, LinkStats,
-                      PhaseShiftConfig, Topology, composite_gain, link_stats,
-                      path_loss, sample_channels, snr, user_snr_pdf)
+                      PhaseShiftConfig, Topology, composite_gain, path_loss,
+                      sample_channels, snr, user_snr_pdf)
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, load_config, load_config_text)
 from .env import ActionCodebook, HybridAction, RisDownlinkEnv, StateVector, build_codebook

@@ -463,26 +463,21 @@ class Agent:
                 self._store(u, asm.flush())
         return log
 
-    def evaluate(self, episodes: int, steps: int, profile: str = "eval"):
-        """Greedy rollouts under the requested quadrature profile."""
+    def evaluate(self, episodes: int, steps: int):
+        """Greedy rollouts scored under the eval quadrature profile."""
         env = self.env
-        saved = env.quadrature_profile
-        env.quadrature_profile = profile
         rewards = []
         varpis = np.zeros(env.n_users)
         count = 0
-        try:
-            for _ in range(episodes):
-                states = env.reset()
-                for _ in range(steps):
-                    actions, _ = self.act(states, 0.0)
-                    outcome = env.step(actions)
-                    rewards.append(outcome.reward)
-                    varpis += np.asarray(outcome.per_user_varpi)
-                    count += 1
-                    states = outcome.next_states
-        finally:
-            env.quadrature_profile = saved
+        for _ in range(episodes):
+            states = env.reset()
+            for _ in range(steps):
+                actions, _ = self.act(states, 0.0)
+                outcome = env.step(actions, profile="eval")
+                rewards.append(outcome.reward)
+                varpis += np.asarray(outcome.per_user_varpi)
+                count += 1
+                states = outcome.next_states
         mean_varpi = (varpis / max(count, 1)).tolist()
         return float(np.mean(rewards)) if rewards else math.nan, mean_varpi
 

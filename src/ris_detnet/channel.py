@@ -2,9 +2,10 @@
 
 All links of the downlink are modelled here: the direct AP->user / AP->Eve
 scalars (Rayleigh) and the RIS-related vectors AP->RIS, RIS->user, RIS->Eve
-(Rician with geometric steering phases).  The module also computes the
-distribution parameters (delta_k^2, upsilon_k) consumed by the analytic
-delay machinery.
+(Rician with geometric steering phases).  The module also computes
+delta_k^2 and the LoS components behind upsilon_k, from which
+RisDownlinkEnv.link_stats builds the LinkStats of the analytic delay
+machinery.
 """
 from __future__ import annotations
 
@@ -298,32 +299,6 @@ def delta_sq_closed_form(topology: Topology, fading: FadingParams, user: int) ->
            * topology.n_elements * (1.0 + kg + kr)
            / ((1.0 + kg) * (1.0 + kr)))
     return direct + ris
-
-
-def link_stats(topology: Topology, fading: FadingParams, theta: PhaseShiftConfig,
-               p_tx: float, user: int = 0,
-               lambda_eve: float | None = None) -> LinkStats:
-    """Distribution parameters for one user under a given phase config.
-
-    upsilon_k is computed from the LoS components only (the mean of the
-    reflected sum); delta_k_sq from the closed form.  lambda_eve falls back
-    to 1/fading.eve_mean_snr when not supplied.
-    """
-    if theta.n_elements != topology.n_elements:
-        raise ValueError("phase config length mismatch")
-    g_los, f_user_los, _ = los_components(topology, fading)
-    if topology.n_elements > 0:
-        mean_reflect = np.vdot(f_user_los[user], theta.coefficients * g_los)
-        upsilon = float(abs(mean_reflect) ** 2)
-    else:
-        upsilon = 0.0
-    if lambda_eve is None:
-        if fading.eve_mean_snr is None:
-            raise ValueError("lambda_eve not supplied and eve_mean_snr unset")
-        lambda_eve = 1.0 / fading.eve_mean_snr
-    rho = p_tx / fading.noise_power_watts
-    return LinkStats(delta_k_sq=delta_sq_closed_form(topology, fading, user),
-                     upsilon_k=upsilon, rho=rho, lambda_eve=lambda_eve)
 
 
 def user_snr_pdf(gamma, stats: LinkStats):

@@ -18,13 +18,11 @@ import numpy as np
 
 from .agents import (AgentConfig, DqnAgent, RandomPolicy, SidPdqnAgent,
                      load_checkpoint, save_checkpoint)
-from .channel import LinkStats
 from .charts import svg_line_chart
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, load_config)
 from .env import RisDownlinkEnv
-from .mellin import (QuadratureError, SearchError, ServiceModel, stability_smax,
-                     violation_bound)
+from .mellin import QuadratureError, SearchError
 from .queuesim import (fbc_service_sampler, model_matched_service_sampler,
                        simulate_queue)
 
@@ -120,26 +118,18 @@ def cmd_simulate(args) -> int:
     columns = ["user_id", "t", "empirical", "ci_half_width", "bound", "dominated"]
     rows = []
     violated = False
+    secrecy = cfg.build_secrecy(cbl)
+    make_sampler = (model_matched_service_sampler if args.sampler == "model"
+                    else fbc_service_sampler)
+    horizon = min(args.horizon, int(args.packets / env.arrival.lambda_pkts * 1.3) + 2000)
     for k in range(env.n_users):
-        stats = LinkStats(delta_k_sq=float(env.delta_sq[k]),
-                          upsilon_k=float(env.upsilon[k, codeword]),
-                          rho=power / env.noise_w, lambda_eve=env.lambda_eve)
-        secrecy = cfg.build_secrecy(cbl)
-        service = ServiceModel(stats, secrecy, cfg.build_quadrature("eval"))
-        search = cfg.build_search("eval")
-        arrival = cfg.build_arrival()
-        s_max = stability_smax(arrival, service, search)
-        if args.sampler == "model":
-            sampler = model_matched_service_sampler(stats, secrecy)
-        else:
-            sampler = fbc_service_sampler(stats, secrecy)
+        res = env.varpi(k, power, codeword, cbl, profile="eval")
+        sampler = make_sampler(env.link_stats(k, power, codeword), secrecy)
         rng = np.random.default_rng([seed, 40, k])
-        lam = cfg.get("arrival", "lambda_pkts")
-        horizon = min(args.horizon, int(args.packets / lam * 1.3) + 2000)
-        qres = simulate_queue(arrival, sampler, horizon, args.packets, rng)
-        for t in (env.window.t_min, env.window.t_max):
+        qres = simulate_queue(env.arrival, sampler, horizon, args.packets, rng)
+        for t, bound in ((env.window.t_min, res.bound_tmin),
+                         (env.window.t_max, res.bound_tmax)):
             emp, ci = qres.tail_prob(t)
-            bound = violation_bound(t, arrival, service, search, s_max=s_max).bound
             ok = (not math.isfinite(emp)) or emp <= bound + 2 * ci
             violated |= not ok
             rows.append({"user_id": k, "t": t, "empirical": emp,
@@ -233,12 +223,9 @@ def _sweep_point(payload):
         mean_varpi = float(np.mean([r["varpi"] for r in rows]))
         return {"param": param, "value": value, "rep": rep, "seed": seed,
                 "metric": mean_varpi, "detail": rows}
-    agent, log = _train_one(cfg, seed)
-    if isinstance(agent, RandomPolicy):
-        metric = log.final_mean_reward()
-    else:
-        metric, _ = agent.evaluate(cfg.get("agent", "eval_episodes"),
-                                   cfg.get("env", "episode_steps"))
+    agent, _ = _train_one(cfg, seed)
+    metric, _ = agent.evaluate(cfg.get("agent", "eval_episodes"),
+                               cfg.get("env", "episode_steps"))
     return {"param": param, "value": value, "rep": rep, "seed": seed,
             "metric": metric, "detail": []}
 

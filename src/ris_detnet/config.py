@@ -170,15 +170,11 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "quadrature.train": {
         "rel_tol": (_parse_float, 1e-3),
         "abs_tol": (_parse_float, 1e-12),
-        "outer_truncation_mult": (_parse_float, 40.0),
-        "inner_truncation_mult": (_parse_float, 40.0),
         "max_subdivisions": (_parse_int, 6),
     },
     "quadrature.eval": {
         "rel_tol": (_parse_float, 1e-6),
         "abs_tol": (_parse_float, 1e-14),
-        "outer_truncation_mult": (_parse_float, 40.0),
-        "inner_truncation_mult": (_parse_float, 40.0),
         "max_subdivisions": (_parse_int, 8),
     },
     "run": {
@@ -250,15 +246,11 @@ class ScenarioConfig:
         return DelayWindow(self.get("delay", "t_min"), self.get("delay", "t_max"))
 
     def build_quadrature(self, profile: str) -> QuadratureSpec:
-        q = self.values[f"quadrature.{profile}"]
-        return QuadratureSpec(rel_tol=q["rel_tol"], abs_tol=q["abs_tol"],
-                              outer_truncation_mult=q["outer_truncation_mult"],
-                              inner_truncation_mult=q["inner_truncation_mult"],
-                              max_subdivisions=q["max_subdivisions"])
+        return QuadratureSpec(**self.values[f"quadrature.{profile}"])
 
-    def build_search(self, profile: str) -> SearchSpec:
-        """Search controls for a quadrature profile; both profiles search
-        alike, since the Newton searches converge to their stated tolerances."""
+    def build_search(self, profile: str | None = None) -> SearchSpec:
+        """Search controls; both quadrature profiles search alike, since the
+        Newton searches converge to their stated tolerances."""
         return SearchSpec()
 
     @property
@@ -320,12 +312,8 @@ def _validate(values: dict):
     if ag["n_step"] < 1:
         raise ConfigError("[agent] n_step must be >= 1")
     for profile in ("quadrature.train", "quadrature.eval"):
-        q = values[profile]
         try:
-            QuadratureSpec(rel_tol=q["rel_tol"], abs_tol=q["abs_tol"],
-                           outer_truncation_mult=q["outer_truncation_mult"],
-                           inner_truncation_mult=q["inner_truncation_mult"],
-                           max_subdivisions=q["max_subdivisions"])
+            QuadratureSpec(**values[profile])
         except ValueError as exc:
             raise ConfigError(f"[{profile}] {exc}") from None
 

@@ -193,9 +193,8 @@ class RisDownlinkEnv:
                 self.upsilon[k, c] = abs(np.vdot(f_user_los[k], coeff * g_los)) ** 2
 
         self._quad = {p: config.build_quadrature(p) for p in ("train", "eval")}
-        self._search = {p: config.build_search(p) for p in ("train", "eval")}
+        self._search = config.build_search()
         self._varpi_cache = {p: {} for p in ("train", "eval")}
-        self.quadrature_profile = "train"
 
         self._episode = -1
         self._fade_rng = None
@@ -209,13 +208,16 @@ class RisDownlinkEnv:
     def _quant(x: float) -> float:
         return float(f"{x:.5g}")
 
+    def link_stats(self, user: int, power: float, codeword_index: int) -> LinkStats:
+        """SNR-model parameters of one user at a transmit power and codeword."""
+        return LinkStats(delta_k_sq=float(self.delta_sq[user]),
+                         upsilon_k=float(self.upsilon[user, codeword_index]),
+                         rho=power / self.noise_w, lambda_eve=self.lambda_eve)
+
     def varpi(self, user: int, power: float, codeword_index: int,
-              blocklength: float, profile: str | None = None):
+              blocklength: float, profile: str = "train"):
         """Cached window-determinacy result for one user's allocation."""
-        profile = profile or self.quadrature_profile
-        stats = LinkStats(delta_k_sq=float(self.delta_sq[user]),
-                          upsilon_k=float(self.upsilon[user, codeword_index]),
-                          rho=power / self.noise_w, lambda_eve=self.lambda_eve)
+        stats = self.link_stats(user, power, codeword_index)
         # train profile trades blocklength resolution (4 channel uses) for
         # cache hits; evaluation scores the exact continuous value
         n_q = max(1.0, 4.0 * round(blocklength / 4.0)) if profile == "train" else blocklength
@@ -228,8 +230,7 @@ class RisDownlinkEnv:
             return hit
         service = ServiceModel(stats, self.config.build_secrecy(n_q),
                                self._quad[profile])
-        result = delay_determinacy(self.window, self.arrival, service,
-                                   self._search[profile])
+        result = delay_determinacy(self.window, self.arrival, service, self._search)
         cache[key] = result
         return result
 
@@ -292,11 +293,13 @@ class RisDownlinkEnv:
         return ProjectedAllocation(powers, cbls, int(cw_by_user[self.sid_order[0]]),
                                    power_scaled, cbl_scaled)
 
-    def step(self, actions: list) -> StepOutcome:
-        """Project, score every user's determinacy, advance the fading."""
+    def step(self, actions: list, profile: str = "train") -> StepOutcome:
+        """Project, score every user's determinacy under the quadrature
+        profile, advance the fading."""
         alloc = self.project_actions(actions)
         results = [self.varpi(k, alloc.powers[k], alloc.codeword_index,
-                              alloc.blocklengths[k]) for k in range(self.n_users)]
+                              alloc.blocklengths[k], profile)
+                   for k in range(self.n_users)]
         varpis = [r.varpi for r in results]
         vacuous = [r.clamped["vacuous"] for r in results]
         n_viol = int(alloc.power_scaled) + int(alloc.cbl_scaled)

@@ -38,6 +38,10 @@ from .channel import LinkStats
 from .fbc import SecrecyParams, q_inv
 
 LN2 = math.log(2.0)
+# both improper H(s) integrals are cut where the exponential weight of the
+# mapped variable is e^-40
+OUTER_TRUNCATION_MULT = 40.0
+INNER_TRUNCATION_MULT = 40.0
 # the infimum search stops once its Newton model predicts that log K can fall
 # by no more than this (the bound is then within about this share of the
 # infimum), or once the Newton step is below SearchSpec.bisect_tol, which
@@ -90,20 +94,16 @@ class ArrivalModel:
 
 @dataclass
 class QuadratureSpec:
-    """Tolerances and truncation rules for the H(s) double integral."""
+    """Tolerances and order doubling of the H(s) double integral."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-14
-    outer_truncation_mult: float = 40.0
-    inner_truncation_mult: float = 40.0
     max_subdivisions: int = 8
     base_order: int = 16
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.outer_truncation_mult < 20 or self.inner_truncation_mult < 20:
-            raise ValueError("truncation multipliers must be >= 20")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -214,7 +214,7 @@ def _gl_nodes(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _h_eval(s, stats, secrecy, spec, order):
+def _h_eval(s, stats, secrecy, order):
     """Fixed-order tensor evaluation of H(s), dH/ds and d^2H/ds^2.
 
     Both improper integrals are mapped onto the unit interval by the exact
@@ -231,8 +231,8 @@ def _h_eval(s, stats, secrecy, spec, order):
     pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
     qinv_sigma = q_inv(secrecy.sigma_leak)
 
-    q_hi = -math.expm1(-spec.outer_truncation_mult)
-    p_hi = -math.expm1(-spec.inner_truncation_mult)
+    q_hi = -math.expm1(-OUTER_TRUNCATION_MULT)
+    p_hi = -math.expm1(-INNER_TRUNCATION_MULT)
     xq, wq = _gl_nodes(order)
     xo, wo = xq * q_hi, wq * q_hi
     xi, wi = xq * p_hi, wq * p_hi
@@ -252,8 +252,9 @@ def _h_eval(s, stats, secrecy, spec, order):
             prefac * float(wo @ ((sloped * slope) @ wi)) / (LN2 * LN2))
 
 
-def _h_tail_bound(s, stats, secrecy, spec):
-    """Analytic bound on the truncated outer/inner tails."""
+def _h_tail_bound(s, stats, secrecy):
+    """Analytic bound on the truncated outer tail, gamma_e past
+    OUTER_TRUNCATION_MULT / lambda_E.  The inner tail is not included."""
     a = s / LN2
     m = stats.rho * stats.delta_k_sq
     lam_e = stats.lambda_eve
@@ -262,7 +263,7 @@ def _h_tail_bound(s, stats, secrecy, spec):
     prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * (pen_u + pen_e_max))
     # (1+g_e)^a * (1+g_k)^-a <= 1 on the wedge, so the outer tail integrand
     # is dominated by lam_e*exp(-(lam_e + 1/m)*gamma_e)
-    expo = -spec.outer_truncation_mult * (1.0 + 1.0 / (m * lam_e))
+    expo = -OUTER_TRUNCATION_MULT * (1.0 + 1.0 / (m * lam_e))
     outer = prefac * lam_e / (lam_e + 1.0 / m) * math.exp(max(expo, -700.0))
     return outer
 
@@ -293,11 +294,11 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     prev = None
     entry = None
     for _ in range(spec.max_subdivisions):
-        val, d1, d2 = _h_eval(s, model.stats, model.secrecy, spec, order)
+        val, d1, d2 = _h_eval(s, model.stats, model.secrecy, order)
         if prev is not None:
             err = abs(val - prev)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
-                err += _h_tail_bound(s, model.stats, model.secrecy, spec)
+                err += _h_tail_bound(s, model.stats, model.secrecy)
                 entry = (val, err, d1, d2)
                 break
         prev = val

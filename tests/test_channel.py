@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
                                 Topology, composite_gain, delta_sq_closed_form,
-                                link_stats, los_components, path_loss,
-                                sample_channels, snr, user_snr_pdf)
+                                los_components, path_loss, sample_channels,
+                                snr, user_snr_pdf)
+from ris_detnet.config import default_config
+from ris_detnet.env import RisDownlinkEnv
 
 
 # ---------------------------------------------------------------- path loss
@@ -185,13 +187,18 @@ def test_delta_sq_matches_composite_gain_variance_mc(topo, fading):
     assert sample_var == pytest.approx(delta_sq_closed_form(topo, fading, 0), rel=0.05)
 
 
-def test_link_stats_fields(topo, fading):
-    theta = PhaseShiftConfig(np.zeros(topo.n_elements))
-    stats = link_stats(topo, fading, theta, p_tx=0.5, user=0, lambda_eve=0.05)
-    assert stats.rho == pytest.approx(0.5 / fading.noise_power_watts)
+def test_link_stats_fields():
+    cfg = default_config()
+    cfg.values["fading"]["eve_mean_snr"] = 20.0
+    env = RisDownlinkEnv(cfg, seed=0)
+    stats = env.link_stats(1, 0.5, 2)
+    assert stats.rho == pytest.approx(0.5 / env.fading.noise_power_watts)
     assert stats.lambda_eve == 0.05
-    g_los, f_los, _ = los_components(topo, fading)
-    want_ups = abs(np.vdot(f_los[0], theta.coefficients * g_los)) ** 2
+    assert stats.delta_k_sq == pytest.approx(
+        delta_sq_closed_form(env.topology, env.fading, 1), rel=1e-12)
+    theta = env.codebook.phase_codewords[2]
+    g_los, f_los, _ = los_components(env.topology, env.fading)
+    want_ups = abs(np.vdot(f_los[1], theta.coefficients * g_los)) ** 2
     assert stats.upsilon_k == pytest.approx(want_ups, rel=1e-12)
 
 

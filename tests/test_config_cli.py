@@ -67,7 +67,9 @@ def test_unknown_key_and_section_rejected():
     for text in ("[delay]\nt_mni = 5\n", "[delay]\nslot_ms = 1.0\n",
                  "[agent]\ncheckpoint_every = 50\n",
                  "[quadrature.train]\ngrid_points = 50\n",
-                 "[quadrature.eval]\ngolden_iters = 60\n"):
+                 "[quadrature.eval]\ngolden_iters = 60\n",
+                 "[quadrature.train]\nouter_truncation_mult = 40\n",
+                 "[quadrature.eval]\ninner_truncation_mult = 40\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config_text(text)
     with pytest.raises(ConfigError, match="unknown section"):
@@ -183,7 +185,7 @@ def test_cli_simulate_model_sampler_dominates(tmp_path):
 
 def test_cli_simulate_searches_one_edge_per_user(tmp_path, monkeypatch):
     # both horizons of a user reuse the one stability edge
-    from ris_detnet import cli, mellin
+    from ris_detnet import mellin
     original, calls = mellin.stability_smax, []
 
     def counted(*args, **kwargs):
@@ -191,12 +193,33 @@ def test_cli_simulate_searches_one_edge_per_user(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(mellin, "stability_smax", counted)
-    monkeypatch.setattr(cli, "stability_smax", counted)
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SMALL)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                  "--packets", "2000", "--sampler", "model"]) == 0
     assert len(calls) == 2      # two users
+
+
+def test_cli_simulate_bounds_equal_analyze(tmp_path):
+    # simulate and analyze score the fixed allocation through the one path
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
+                 "--packets", "2000", "--sampler", "model"]) == 0
+
+    def rows(path):
+        lines = path.read_text().splitlines()
+        return [dict(zip(lines[2].split(","), line.split(","))) for line in lines[3:]]
+
+    analyzed = {r["user_id"]: r for r in rows(tmp_path / "a" / "analyze.csv")}
+    simulated = rows(tmp_path / "s" / "simulate.csv")
+    assert len(simulated) == 2 * len(analyzed) == 4
+    for r in simulated:
+        a = analyzed[r["user_id"]]
+        column = "bound_tmin" if r["t"] == a["t_min"] else "bound_tmax"
+        assert r["t"] in (a["t_min"], a["t_max"])
+        assert r["bound"] == a[column]
 
 
 def test_cli_unbracketed_stability_edge_exit_code(tmp_path, monkeypatch, capsys):
@@ -280,6 +303,24 @@ def test_cli_train_then_evaluate_round_trip(tmp_path):
     ckpt.write_text(json.dumps(stale))
     assert main(["evaluate", "--config", str(cfg_path), "--out", str(out3),
                  "--checkpoint", str(ckpt)]) == 2
+
+
+def test_cli_sweep_train_scores_random_by_evaluate(tmp_path):
+    # every algorithm's sweep metric is the greedy eval reward after training
+    from ris_detnet.cli import _train_one
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace("[agent]\n", "[agent]\nalgo = random\n"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--mode", "train",
+                 "--param", "agent.episodes", "--values", "2"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    row = dict(zip(lines[2].split(","), lines[3].split(",")))
+    cfg = load_config(str(cfg_path))
+    seed = cfg.get("run", "seed")
+    agent, _ = _train_one(cfg, seed)
+    want, _ = agent.evaluate(cfg.get("agent", "eval_episodes"),
+                             cfg.get("env", "episode_steps"))
+    assert float(row["metric"]) == want
 
 
 @pytest.mark.parametrize("algo", ["sid_pdqn", "dqn", "random"])

@@ -167,19 +167,23 @@ def test_step_reward_matches_direct_determinacy():
     env = RisDownlinkEnv(cfg, seed=6)
     env.reset(episode=0)
     acts = [HybridAction(3, 0.7), HybridAction(5, 0.25)]
-    out = env.step(acts)
-    alloc_cw = out.info["codeword_index"]
-    for k in range(2):
-        power = out.info["powers"][k]
-        n_k = out.info["blocklengths"][k]
-        n_q = max(1.0, 4.0 * round(n_k / 4.0))
-        stats = LinkStats(float(env.delta_sq[k]), float(env.upsilon[k, alloc_cw]),
-                          power / env.noise_w, env.lambda_eve)
-        service = ServiceModel(stats, cfg.build_secrecy(n_q),
-                               cfg.build_quadrature("train"))
-        res = delay_determinacy(env.window, env.arrival, service,
-                                cfg.build_search("train"))
-        assert out.per_user_varpi[k] == pytest.approx(res.varpi, rel=1e-9)
+    # train: coarse quadrature on a blocklength quantised to 4 channel uses;
+    # eval: fine quadrature on the exact blocklength
+    for profile in ("train", "eval"):
+        env.reset(episode=0)
+        out = env.step(acts, profile=profile)
+        alloc_cw = out.info["codeword_index"]
+        for k in range(2):
+            power = out.info["powers"][k]
+            n_k = out.info["blocklengths"][k]
+            n_q = max(1.0, 4.0 * round(n_k / 4.0)) if profile == "train" else n_k
+            stats = LinkStats(float(env.delta_sq[k]), float(env.upsilon[k, alloc_cw]),
+                              power / env.noise_w, env.lambda_eve)
+            service = ServiceModel(stats, cfg.build_secrecy(n_q),
+                                   cfg.build_quadrature(profile))
+            res = delay_determinacy(env.window, env.arrival, service,
+                                    cfg.build_search(profile))
+            assert out.per_user_varpi[k] == pytest.approx(res.varpi, rel=1e-9)
 
 
 def test_step_updates_prev_action_with_applied_values():
