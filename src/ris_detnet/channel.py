@@ -10,6 +10,7 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class Topology:
 
     RIS elements form a uniform linear array along the x axis, centred on
     ``ris_pos``.  ``element_spacing`` defaults to half the carrier
-    wavelength when left as None.
+    wavelength when left as None.  The geometry is fixed once built, so the
+    link distances and steering vectors are computed on first use and kept.
     """
 
     ap_pos: np.ndarray
@@ -69,23 +71,23 @@ class Topology:
     def n_users(self) -> int:
         return self.user_pos.shape[0]
 
-    @property
+    @cached_property
     def dist_ap_ris(self) -> float:
         return float(np.linalg.norm(self.ap_pos - self.ris_pos))
 
-    @property
+    @cached_property
     def dist_ap_eve(self) -> float:
         return float(np.linalg.norm(self.ap_pos - self.eve_pos))
 
-    @property
+    @cached_property
     def dist_ap_user(self) -> np.ndarray:
         return np.linalg.norm(self.user_pos - self.ap_pos[None, :], axis=1)
 
-    @property
+    @cached_property
     def dist_ris_user(self) -> np.ndarray:
         return np.linalg.norm(self.user_pos - self.ris_pos[None, :], axis=1)
 
-    @property
+    @cached_property
     def dist_ris_eve(self) -> float:
         return float(np.linalg.norm(self.eve_pos - self.ris_pos))
 
@@ -96,6 +98,15 @@ class Topology:
         pos = np.tile(self.ris_pos, (self.n_elements, 1))
         pos[:, 0] += offs
         return pos
+
+    @cached_property
+    def steering(self):
+        """LoS steering vectors of the AP, of each user (a (K, N) array) and
+        of Eve."""
+        return (steering_vector(self.ap_pos, self),
+                np.array([steering_vector(u, self) for u in self.user_pos],
+                         dtype=complex).reshape(self.n_users, self.n_elements),
+                steering_vector(self.eve_pos, self))
 
 
 @dataclass
@@ -204,19 +215,15 @@ def steering_vector(src_pos: np.ndarray, topology: Topology) -> np.ndarray:
     return np.exp(-2j * np.pi * l_n / topology.carrier_wavelength)
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def _rician_vector(rng, steering, pl, k_factor):
+def _rician_vector(cn, steering, pl, k_factor):
     """sqrt(PL) * (sqrt(K/(K+1)) * LoS + sqrt(1/(K+1)) * NLoS).
 
-    Path loss and the Rician mixing weights are applied exactly once so
-    that E|entry|^2 equals the link path loss.
+    cn holds the unit-variance complex normals of the NLoS part.  Path loss
+    and the Rician mixing weights are applied exactly once so that
+    E|entry|^2 equals the link path loss.
     """
     los = np.sqrt(k_factor / (k_factor + 1.0)) * steering
-    nlos = np.sqrt(1.0 / (k_factor + 1.0)) * _cn(rng, steering.shape)
+    nlos = np.sqrt(1.0 / (k_factor + 1.0)) * cn
     return np.sqrt(pl) * (los + nlos)
 
 
@@ -226,43 +233,68 @@ def los_components(topology: Topology, fading: FadingParams):
     Entries carry sqrt(PL * K/(K+1)) * steering phase; these are the means
     of the corresponding Rician vectors.
     """
+    g_steer, user_steer, eve_steer = topology.steering
     pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
-    g_los = np.sqrt(pl_r * fading.rician_k_r / (fading.rician_k_r + 1.0)) * \
-        steering_vector(topology.ap_pos, topology)
+    g_los = np.sqrt(pl_r * fading.rician_k_r / (fading.rician_k_r + 1.0)) * g_steer
     k_g = fading.rician_k_gk
     f_user_los = []
     for k in range(topology.n_users):
         pl_g = path_loss(topology.dist_ris_user[k], fading.alpha_ris, fading.pl0_db)
-        f_user_los.append(np.sqrt(pl_g * k_g / (k_g + 1.0)) *
-                          steering_vector(topology.user_pos[k], topology))
+        f_user_los.append(np.sqrt(pl_g * k_g / (k_g + 1.0)) * user_steer[k])
     pl_e = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
-    f_eve_los = np.sqrt(pl_e * k_g / (k_g + 1.0)) * \
-        steering_vector(topology.eve_pos, topology)
+    f_eve_los = np.sqrt(pl_e * k_g / (k_g + 1.0)) * eve_steer
     return g_los, f_user_los, f_eve_los
+
+
+@lru_cache(maxsize=16)
+def _normal_layout(n_elements: int, n_users: int):
+    """Where each link's complex normals sit in one realization's draw.
+
+    The draw keeps the order of one standard_normal call per real and per
+    imaginary part: AP->RIS, then per user the direct scalar and RIS->user,
+    then RIS->Eve and the direct Eve scalar.  Returns the real-part and
+    imaginary-part indices of all complex entries, in that link order.
+    """
+    re, im, pos = [], [], 0
+    sizes = [n_elements] + [1, n_elements] * n_users + [n_elements, 1]
+    for size in sizes:
+        re.append(np.arange(pos, pos + size))
+        im.append(np.arange(pos + size, pos + 2 * size))
+        pos += 2 * size
+    return np.concatenate(re), np.concatenate(im), pos
 
 
 def sample_channels(topology: Topology, fading: FadingParams,
                     rng: np.random.Generator) -> ChannelRealization:
-    """Draw one block-fading realization of every link."""
-    g_steer = steering_vector(topology.ap_pos, topology)
-    pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
-    g_ris = _rician_vector(rng, g_steer, pl_r, fading.rician_k_r)
+    """Draw one block-fading realization of every link.
 
-    n_users = topology.n_users
+    All 4N + K(2 + 2N) + 2 normals come from one standard_normal call, in
+    the order of ``_normal_layout``.
+    """
+    n_el, n_users = topology.n_elements, topology.n_users
+    re, im, total = _normal_layout(n_el, n_users)
+    z = rng.standard_normal(total)
+    cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
+    g_steer, user_steer, eve_steer = topology.steering
+
+    pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
+    g_ris = _rician_vector(cn[:n_el], g_steer, pl_r, fading.rician_k_r)
+
     h_direct = np.empty(n_users, dtype=complex)
-    f_user = np.empty((n_users, topology.n_elements), dtype=complex)
+    f_user = np.empty((n_users, n_el), dtype=complex)
+    pos = n_el
     for k in range(n_users):
         pl_d = path_loss(topology.dist_ap_user[k], fading.alpha_direct, fading.pl0_db)
-        h_direct[k] = np.sqrt(pl_d) * _cn(rng, ())
+        h_direct[k] = np.sqrt(pl_d) * cn[pos]
         pl_g = path_loss(topology.dist_ris_user[k], fading.alpha_ris, fading.pl0_db)
-        f_user[k] = _rician_vector(rng, steering_vector(topology.user_pos[k], topology),
+        f_user[k] = _rician_vector(cn[pos + 1:pos + 1 + n_el], user_steer[k],
                                    pl_g, fading.rician_k_gk)
+        pos += 1 + n_el
 
     pl_fe = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
-    f_eve = _rician_vector(rng, steering_vector(topology.eve_pos, topology),
-                           pl_fe, fading.rician_k_gk)
+    f_eve = _rician_vector(cn[pos:pos + n_el], eve_steer, pl_fe, fading.rician_k_gk)
     pl_de = path_loss(topology.dist_ap_eve, fading.alpha_direct, fading.pl0_db)
-    h_direct_eve = complex(np.sqrt(pl_de) * _cn(rng, ()))
+    h_direct_eve = complex(np.sqrt(pl_de) * cn[pos + n_el])
     return ChannelRealization(h_direct, g_ris, f_user, f_eve, h_direct_eve)
 
 

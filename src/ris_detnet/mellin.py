@@ -12,7 +12,11 @@ The service transform reduces to the double integral H(s) over the Eve and
 user SNR densities; it is evaluated by tensor-product Gauss-Legendre
 quadrature after substituting both variables onto the unit interval, with
 order doubling until the requested tolerance is met.  The same exp tensor
-gives dH/ds and d^2H/ds^2, which steer the searches below.
+gives dH/ds and d^2H/ds^2, which steer the searches below.  Only that exp
+tensor depends on s: each ServiceModel builds the rest once per order it
+reaches and keeps it (2 * order^2 floats per order) until its determinacy
+is done, so a new s costs one exp and three matrix-vector products per
+order.
 
 log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
 log-moment-generating function, the log product
@@ -149,13 +153,18 @@ class ServiceModel:
 
     Holds a per-instance cache of H(s) evaluations, keyed by s, so that the
     searches at several horizons reuse the expensive quadrature.  Each entry
-    is (H, error estimate, dH/ds, d^2H/ds^2).
+    is (H, error estimate, dH/ds, d^2H/ds^2).  ``_h_tensors`` keeps the
+    s-independent quadrature tensors of each order reached, keyed by order:
+    2 * order^2 floats per order (256 KiB at order 128), freed with the
+    model or when ``delay_determinacy`` returns, so that a caller who keeps
+    models keeps only their H values.
     """
 
     stats: LinkStats
     secrecy: SecrecyParams
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     _h_cache: dict = field(default_factory=dict, repr=False)
+    _h_tensors: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -214,42 +223,76 @@ def _gl_nodes(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _h_eval(s, stats, secrecy, order):
+@dataclass
+class _HTensors:
+    """The s-independent half of the H(s) quadrature at one order.
+
+    The log integrand of H is a * log_ratio + a * pen_e - gamma_e / m plus
+    the constant a * pen_u - upsilon/delta^2, so only the exp depends on s.
+    log_ratio and slope are (order, order); the rest are vectors.
+    """
+
+    wo: np.ndarray              # outer weights
+    wi: np.ndarray              # inner weights
+    log_ratio: np.ndarray       # log1p(gamma_e) - log1p(gamma_k)
+    slope: np.ndarray           # ln2 * d/ds of the log integrand
+    pen_e: np.ndarray
+    decay: np.ndarray           # gamma_e / m
+    pen_u: float
+    los_log: float              # -upsilon/delta^2
+
+    @classmethod
+    def build(cls, stats, secrecy, order):
+        """Map both improper integrals onto the unit interval by the exact
+        exponential substitutions gamma_e = -ln(1-q)/lambda_E and
+        gamma_k = gamma_e - m*ln(1-p) with m = rho*delta^2, so the truncation
+        multipliers become fixed sub-unit upper limits."""
+        lam_e = stats.lambda_eve
+        m = stats.rho * stats.delta_k_sq
+        n_cbl = secrecy.blocklength
+        pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
+        qinv_sigma = q_inv(secrecy.sigma_leak)
+
+        q_hi = -math.expm1(-OUTER_TRUNCATION_MULT)
+        p_hi = -math.expm1(-INNER_TRUNCATION_MULT)
+        xq, wq = _gl_nodes(order)
+        xo, wo = xq * q_hi, wq * q_hi
+        xi, wi = xq * p_hi, wq * p_hi
+
+        gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
+        v_eve = 1.0 - 1.0 / (1.0 + gamma_e) ** 2
+        pen_e = np.sqrt(v_eve / n_cbl) * qinv_sigma
+        gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
+        log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
+        slope = log_ratio + (pen_e + pen_u)[:, None]
+        return cls(wo, wi, log_ratio, slope, pen_e, gamma_e / m, pen_u,
+                   -stats.upsilon_k / stats.delta_k_sq)
+
+
+def _h_eval(s, model, order):
     """Fixed-order tensor evaluation of H(s), dH/ds and d^2H/ds^2.
 
-    Both improper integrals are mapped onto the unit interval by the exact
-    exponential substitutions gamma_e = -ln(1-q)/lambda_E and
-    gamma_k = gamma_e - m*ln(1-p) with m = rho*delta^2, so the truncation
-    multipliers become fixed sub-unit upper limits.  The log integrand is
-    linear in s with slope (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2,
-    so the derivatives weight the same exp tensor by that slope.
+    The s-independent tensors come from ``model._h_tensors``, built on the
+    first call at each order (see ``_HTensors``).  Per s this costs one exp
+    tensor and three matrix-vector products, in two order x order buffers.
+    The log integrand is linear in s with slope
+    (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2, so the derivatives
+    weight the same exp tensor by that slope.
     """
+    t = model._h_tensors.get(order)
+    if t is None:
+        t = model._h_tensors[order] = _HTensors.build(model.stats, model.secrecy,
+                                                      order)
     a = s / LN2
-    lam_e = stats.lambda_eve
-    m = stats.rho * stats.delta_k_sq
-    n_cbl = secrecy.blocklength
-    pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
-    qinv_sigma = q_inv(secrecy.sigma_leak)
-
-    q_hi = -math.expm1(-OUTER_TRUNCATION_MULT)
-    p_hi = -math.expm1(-INNER_TRUNCATION_MULT)
-    xq, wq = _gl_nodes(order)
-    xo, wo = xq * q_hi, wq * q_hi
-    xi, wi = xq * p_hi, wq * p_hi
-
-    gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
-    v_eve = 1.0 - 1.0 / (1.0 + gamma_e) ** 2
-    pen_e = np.sqrt(v_eve / n_cbl) * qinv_sigma
-    gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
-
-    log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
-    weight = np.exp(a * log_ratio + (a * pen_e - gamma_e / m)[:, None])
-    slope = log_ratio + (pen_e + pen_u)[:, None]           # ln2 * d/ds of the log
-    sloped = weight * slope
-    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * pen_u)
-    return (prefac * float(wo @ (weight @ wi)),
-            prefac * float(wo @ (sloped @ wi)) / LN2,
-            prefac * float(wo @ ((sloped * slope) @ wi)) / (LN2 * LN2))
+    weight = np.multiply(a, t.log_ratio)
+    weight += (a * t.pen_e - t.decay)[:, None]
+    np.exp(weight, out=weight)
+    sloped = np.multiply(weight, t.slope)
+    prefac = math.exp(t.los_log + a * t.pen_u)
+    h = prefac * float(t.wo @ (weight @ t.wi))
+    d1 = prefac * float(t.wo @ (sloped @ t.wi)) / LN2
+    sloped *= t.slope
+    return h, d1, prefac * float(t.wo @ (sloped @ t.wi)) / (LN2 * LN2)
 
 
 def _h_tail_bound(s, stats, secrecy):
@@ -294,7 +337,7 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     prev = None
     entry = None
     for _ in range(spec.max_subdivisions):
-        val, d1, d2 = _h_eval(s, model.stats, model.secrecy, order)
+        val, d1, d2 = _h_eval(s, model, order)
         if prev is not None:
             err = abs(val - prev)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
@@ -596,12 +639,16 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     records the checkable surrogate bound(t_max) <= bound(t_min) of the
     kernel-ordering constraint.  The quadrature error estimate is the larger
     one of the two H values behind the reported bounds, at s_star_tmin and
-    s_star_tmax, so probes that no bound uses do not move it.
+    s_star_tmax, so probes that no bound uses do not move it.  The model's
+    quadrature tensors are released on return; its H values stay cached.
     """
     search = search or SearchSpec()
-    s_max = stability_smax(arrival, service, search)
-    b_min = violation_bound(window.t_min, arrival, service, search, s_max=s_max)
-    b_max = violation_bound(window.t_max, arrival, service, search, s_max=s_max)
+    try:
+        s_max = stability_smax(arrival, service, search)
+        b_min = violation_bound(window.t_min, arrival, service, search, s_max=s_max)
+        b_max = violation_bound(window.t_max, arrival, service, search, s_max=s_max)
+    finally:
+        service._h_tensors.clear()
     ordering_ok = b_max.bound <= b_min.bound + 1e-12
     varpi = min(1.0, max(0.0, b_min.bound - b_max.bound))
     clamped = {

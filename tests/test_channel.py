@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
                                 Topology, composite_gain, delta_sq_closed_form,
                                 los_components, path_loss, sample_channels,
-                                snr, user_snr_pdf)
+                                snr, steering_vector, user_snr_pdf)
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
 
@@ -72,6 +72,53 @@ def test_sampling_deterministic_under_seed(topo, fading):
     assert np.array_equal(a.f_user, b.f_user)
     assert np.array_equal(a.f_eve, b.f_eve)
     assert a.h_direct_eve == b.h_direct_eve
+
+
+def _per_link_channels(topology, fading, rng):
+    """Oracle: one steering vector, path loss and pair of normal draws per
+    link, drawn link by link."""
+    def cn(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    def rician(steering, pl, k_factor):
+        los = np.sqrt(k_factor / (k_factor + 1.0)) * steering
+        nlos = np.sqrt(1.0 / (k_factor + 1.0)) * cn(steering.shape)
+        return np.sqrt(pl) * (los + nlos)
+
+    pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
+    g_ris = rician(steering_vector(topology.ap_pos, topology), pl_r, fading.rician_k_r)
+    h_direct = np.empty(topology.n_users, dtype=complex)
+    f_user = np.empty((topology.n_users, topology.n_elements), dtype=complex)
+    for k in range(topology.n_users):
+        pl_d = path_loss(topology.dist_ap_user[k], fading.alpha_direct, fading.pl0_db)
+        h_direct[k] = np.sqrt(pl_d) * cn(())
+        pl_g = path_loss(topology.dist_ris_user[k], fading.alpha_ris, fading.pl0_db)
+        f_user[k] = rician(steering_vector(topology.user_pos[k], topology), pl_g,
+                           fading.rician_k_gk)
+    pl_fe = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
+    f_eve = rician(steering_vector(topology.eve_pos, topology), pl_fe, fading.rician_k_gk)
+    pl_de = path_loss(topology.dist_ap_eve, fading.alpha_direct, fading.pl0_db)
+    return h_direct, g_ris, f_user, f_eve, complex(np.sqrt(pl_de) * cn(()))
+
+
+@pytest.mark.parametrize("shape", ["conftest", "no_ris", "one_user"])
+def test_sampling_equals_per_link_draws(topo, fading, shape):
+    # one normal draw per realization and the cached steering vectors give
+    # the same bits, and leave the stream in the same place, as drawing
+    # link by link
+    if shape != "conftest":
+        users = topo.user_pos[:1] if shape == "one_user" else topo.user_pos
+        topo = Topology(ap_pos=topo.ap_pos, ris_pos=topo.ris_pos, eve_pos=topo.eve_pos,
+                        user_pos=users, n_elements=0 if shape == "no_ris" else 16)
+    fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(200):
+        real = sample_channels(topo, fading, fast)
+        got = (real.h_direct, real.g_ris, real.f_user, real.f_eve,
+               np.array(real.h_direct_eve))
+        for a, b in zip(got, _per_link_channels(topo, fading, slow)):
+            assert np.array_equal(a, b)
+            assert np.shape(a) == np.shape(b)
+    assert fast.random() == slow.random()
 
 
 # ---------------------------------------------------------------- composite

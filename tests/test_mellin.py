@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -142,6 +143,100 @@ def test_h_cache_reuse():
     b = service_mellin_u(0.3, svc)
     assert a == b
     assert 0.3 in svc._h_cache
+
+
+def _h_eval_one_pass(s, stats, secrecy, order):
+    """Oracle: H(s), dH/ds and d^2H/ds^2 from a tensor built for this s alone."""
+    a = s / LN2
+    lam_e = stats.lambda_eve
+    m = stats.rho * stats.delta_k_sq
+    n_cbl = secrecy.blocklength
+    pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
+    q_hi = -math.expm1(-mellin.OUTER_TRUNCATION_MULT)
+    p_hi = -math.expm1(-mellin.INNER_TRUNCATION_MULT)
+    x, w = np.polynomial.legendre.leggauss(order)
+    xq, wq = (x + 1.0) / 2.0, w / 2.0
+    xo, wo = xq * q_hi, wq * q_hi
+    xi, wi = xq * p_hi, wq * p_hi
+    gamma_e = -np.log1p(-xo) / lam_e
+    v_eve = 1.0 - 1.0 / (1.0 + gamma_e) ** 2
+    pen_e = np.sqrt(v_eve / n_cbl) * q_inv(secrecy.sigma_leak)
+    gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]
+    log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
+    weight = np.exp(a * log_ratio + (a * pen_e - gamma_e / m)[:, None])
+    slope = log_ratio + (pen_e + pen_u)[:, None]
+    sloped = weight * slope
+    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * pen_u)
+    return (prefac * float(wo @ (weight @ wi)),
+            prefac * float(wo @ (sloped @ wi)) / LN2,
+            prefac * float(wo @ ((sloped * slope) @ wi)) / (LN2 * LN2))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+H_ORDERS = st.sampled_from([16, 32, 64, 128, 256])
+H_ARGS = st.floats(1e-4, 8.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(log_rho=st.floats(6.0, 14.0), blocklength=st.floats(16.0, 1024.0),
+       s=H_ARGS, others=st.lists(H_ARGS, min_size=1, max_size=3), order=H_ORDERS)
+def test_h_eval_bitwise_independent_of_earlier_s(log_rho, blocklength, s, others, order):
+    # a model that keeps the s-independent tensors of earlier s returns H,
+    # dH/ds and d^2H/ds^2 bit for bit as a fresh model and as a tensor built
+    # for s alone, at one order and through the order doubling
+    def make():
+        return ServiceModel(make_stats(rho=10.0 ** log_rho),
+                            SecrecyParams(2e-6, 1e-3, blocklength),
+                            QuadratureSpec(max_subdivisions=5))
+
+    warm = make()
+    for x in others:
+        mellin._h_eval(x, warm, order)
+    got = mellin._h_eval(s, warm, order)
+    assert _bits(got) == _bits(mellin._h_eval(s, make(), order))
+    assert _bits(got) == _bits(_h_eval_one_pass(s, warm.stats, warm.secrecy, order))
+
+    fresh = make()
+    try:
+        service_mellin_u_with_error(s, fresh)
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            service_mellin_u_with_error(s, warm)
+        return
+    service_mellin_u_with_error(s, warm)
+    assert _bits(warm._h_cache[s]) == _bits(fresh._h_cache[s])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(log_rhos=st.lists(st.floats(6.0, 14.0), min_size=2, max_size=6), s=H_ARGS,
+       order=H_ORDERS)
+def test_h_tensors_live_and_die_with_their_model(log_rhos, s, order):
+    # models made and dropped in a loop, so that a new one may take a dead
+    # one's address, each start with no tensors and get tensors of their own
+    # link stats
+    for log_rho in log_rhos:
+        model = make_service(rho=10.0 ** log_rho)
+        assert model._h_tensors == {}
+        got = mellin._h_eval(s, model, order)
+        assert _bits(got) == _bits(_h_eval_one_pass(s, model.stats, model.secrecy, order))
+        del model
+        gc.collect()
+
+
+def test_determinacy_releases_h_tensors(monkeypatch):
+    # a determinacy leaves its H values cached but drops the quadrature
+    # tensors, also when a search raises, so kept models stay small
+    service = make_service()
+    delay_determinacy(DelayWindow(2, 8), ARRIVAL, service)
+    assert service._h_cache and service._h_tensors == {}
+    monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
+    service = make_service()
+    with pytest.raises(SearchError):
+        delay_determinacy(DelayWindow(2, 8), ARRIVAL, service)
+    assert service._h_cache and service._h_tensors == {}
 
 
 # ------------------------------------------------------------- service mellin
