@@ -264,6 +264,28 @@ def _normal_layout(n_elements: int, n_users: int):
     return np.concatenate(re), np.concatenate(im), pos
 
 
+@lru_cache(maxsize=16)
+def _eve_normal_layout(n_elements: int, n_users: int):
+    """The real-part and imaginary-part indices of the AP->RIS, RIS->Eve and
+    direct Eve normals within one realization's draw."""
+    re, im, total = _normal_layout(n_elements, n_users)
+    keep = np.r_[0:n_elements, re.size - n_elements - 1:re.size]
+    return re[keep], im[keep], total
+
+
+def _ris_eve_links(topology: Topology, fading: FadingParams, cn_g, cn_e):
+    """g_ris, f_eve and h_direct_eve from their unit complex normals: cn_g
+    for AP->RIS, cn_e for RIS->Eve followed by the direct Eve scalar."""
+    g_steer, _, eve_steer = topology.steering
+    n_el = topology.n_elements
+    pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
+    g_ris = _rician_vector(cn_g, g_steer, pl_r, fading.rician_k_r)
+    pl_fe = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
+    f_eve = _rician_vector(cn_e[:n_el], eve_steer, pl_fe, fading.rician_k_gk)
+    pl_de = path_loss(topology.dist_ap_eve, fading.alpha_direct, fading.pl0_db)
+    return g_ris, f_eve, complex(np.sqrt(pl_de) * cn_e[n_el])
+
+
 def sample_channels(topology: Topology, fading: FadingParams,
                     rng: np.random.Generator) -> ChannelRealization:
     """Draw one block-fading realization of every link.
@@ -275,10 +297,7 @@ def sample_channels(topology: Topology, fading: FadingParams,
     re, im, total = _normal_layout(n_el, n_users)
     z = rng.standard_normal(total)
     cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
-    g_steer, user_steer, eve_steer = topology.steering
-
-    pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
-    g_ris = _rician_vector(cn[:n_el], g_steer, pl_r, fading.rician_k_r)
+    user_steer = topology.steering[1]
 
     h_direct = np.empty(n_users, dtype=complex)
     f_user = np.empty((n_users, n_el), dtype=complex)
@@ -291,10 +310,7 @@ def sample_channels(topology: Topology, fading: FadingParams,
                                    pl_g, fading.rician_k_gk)
         pos += 1 + n_el
 
-    pl_fe = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
-    f_eve = _rician_vector(cn[pos:pos + n_el], eve_steer, pl_fe, fading.rician_k_gk)
-    pl_de = path_loss(topology.dist_ap_eve, fading.alpha_direct, fading.pl0_db)
-    h_direct_eve = complex(np.sqrt(pl_de) * cn[pos + n_el])
+    g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el], cn[pos:])
     return ChannelRealization(h_direct, g_ris, f_user, f_eve, h_direct_eve)
 
 
@@ -349,12 +365,22 @@ def user_snr_pdf(gamma, stats: LinkStats):
 
 def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
                           rng: np.random.Generator, n_draws: int = 2000) -> float:
-    """Mean simulated Eve SNR under random phase configs; 1/lambda_Eve."""
+    """Mean simulated Eve SNR under random phase configs; 1/lambda_Eve.
+
+    Each draw takes a realization's normals and then a random phase config
+    from the stream, as ``sample_channels`` and a uniform draw would, but
+    builds only the links that reach Eve.
+    """
     noise = fading.noise_power_watts
+    n_el = topology.n_elements
+    re, im, total = _eve_normal_layout(n_el, topology.n_users)
     acc = 0.0
     for _ in range(n_draws):
-        real = sample_channels(topology, fading, rng)
-        theta = PhaseShiftConfig(rng.uniform(0.0, 2 * np.pi, topology.n_elements))
-        gain = composite_gain(real.h_direct_eve, real.f_eve, theta, real.g_ris)
+        z = rng.standard_normal(total)
+        cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
+        g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el],
+                                                    cn[n_el:])
+        theta = PhaseShiftConfig(rng.uniform(0.0, 2 * np.pi, n_el))
+        gain = composite_gain(h_direct_eve, f_eve, theta, g_ris)
         acc += snr(gain, p_tx, noise)
     return acc / n_draws

@@ -23,8 +23,8 @@ from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, load_config)
 from .env import RisDownlinkEnv
 from .mellin import QuadratureError, SearchError
-from .queuesim import (fbc_service_sampler, model_matched_service_sampler,
-                       simulate_queue)
+from .queuesim import (CENSOR_SLOTS, WARMUP_SLOTS, fbc_service_sampler,
+                       model_matched_service_sampler, simulate_queue)
 
 ANALYZE_COLUMNS = ["user_id", "t_min", "t_max", "varpi", "bound_tmin", "bound_tmax",
                    "s_star_tmin", "s_star_tmax", "s_max", "ordering_ok",
@@ -110,7 +110,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _check_simulate_counts(args):
+    """Reject packet and slot counts that leave no packet to analyse."""
+    if args.packets < 1:
+        raise ConfigError(f"--packets must be at least 1, got {args.packets}")
+    margin = WARMUP_SLOTS + CENSOR_SLOTS
+    if args.horizon <= margin:
+        raise ConfigError(f"--horizon must exceed the {WARMUP_SLOTS} warm-up and "
+                          f"{CENSOR_SLOTS} censored slots ({margin}), got {args.horizon}")
+
+
 def cmd_simulate(args) -> int:
+    _check_simulate_counts(args)
     cfg = _load(args)
     env = RisDownlinkEnv(cfg)
     power, codeword, cbl = _fixed_allocation(cfg, env)
@@ -127,6 +138,9 @@ def cmd_simulate(args) -> int:
         sampler = make_sampler(env.link_stats(k, power, codeword), secrecy)
         rng = np.random.default_rng([seed, 40, k])
         qres = simulate_queue(env.arrival, sampler, horizon, args.packets, rng)
+        if qres.n_packets == 0:
+            raise ConfigError(f"no packet of user {k} arrived in the analysed slots; "
+                              f"raise --horizon")
         for t, bound in ((env.window.t_min, res.bound_tmin),
                          (env.window.t_max, res.bound_tmax)):
             emp, ci = qres.tail_prob(t)

@@ -4,8 +4,9 @@ from scipy.integrate import quad
 
 from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
                                 Topology, composite_gain, delta_sq_closed_form,
-                                los_components, path_loss, sample_channels,
-                                snr, steering_vector, user_snr_pdf)
+                                estimate_eve_mean_snr, los_components, path_loss,
+                                sample_channels, snr, steering_vector,
+                                user_snr_pdf)
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
 
@@ -101,15 +102,21 @@ def _per_link_channels(topology, fading, rng):
     return h_direct, g_ris, f_user, f_eve, complex(np.sqrt(pl_de) * cn(()))
 
 
+def _shaped(topo, shape):
+    """The conftest topology, without its RIS or with one user and 16 elements."""
+    if shape == "conftest":
+        return topo
+    users = topo.user_pos[:1] if shape == "one_user" else topo.user_pos
+    return Topology(ap_pos=topo.ap_pos, ris_pos=topo.ris_pos, eve_pos=topo.eve_pos,
+                    user_pos=users, n_elements=0 if shape == "no_ris" else 16)
+
+
 @pytest.mark.parametrize("shape", ["conftest", "no_ris", "one_user"])
 def test_sampling_equals_per_link_draws(topo, fading, shape):
     # one normal draw per realization and the cached steering vectors give
     # the same bits, and leave the stream in the same place, as drawing
     # link by link
-    if shape != "conftest":
-        users = topo.user_pos[:1] if shape == "one_user" else topo.user_pos
-        topo = Topology(ap_pos=topo.ap_pos, ris_pos=topo.ris_pos, eve_pos=topo.eve_pos,
-                        user_pos=users, n_elements=0 if shape == "no_ris" else 16)
+    topo = _shaped(topo, shape)
     fast, slow = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(200):
         real = sample_channels(topo, fading, fast)
@@ -119,6 +126,30 @@ def test_sampling_equals_per_link_draws(topo, fading, shape):
             assert np.array_equal(a, b)
             assert np.shape(a) == np.shape(b)
     assert fast.random() == slow.random()
+
+
+def _eve_snr_from_realizations(topology, fading, p_tx, rng, n_draws):
+    """Oracle: the Eve calibration built from whole realizations."""
+    noise = fading.noise_power_watts
+    acc = 0.0
+    for _ in range(n_draws):
+        real = sample_channels(topology, fading, rng)
+        theta = PhaseShiftConfig(rng.uniform(0.0, 2 * np.pi, topology.n_elements))
+        gain = composite_gain(real.h_direct_eve, real.f_eve, theta, real.g_ris)
+        acc += snr(gain, p_tx, noise)
+    return acc / n_draws
+
+
+@pytest.mark.parametrize("shape", ["conftest", "no_ris", "one_user"])
+def test_eve_calibration_equals_whole_realizations(topo, fading, shape):
+    # building only the links that reach Eve gives the same mean SNR bit for
+    # bit and leaves the stream where whole realizations leave it
+    topo = _shaped(topo, shape)
+    fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+    got = estimate_eve_mean_snr(topo, fading, 0.5, fast, 300)
+    want = _eve_snr_from_realizations(topo, fading, 0.5, slow, 300)
+    assert got.hex() == want.hex()
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 # ---------------------------------------------------------------- composite

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -181,6 +183,36 @@ def test_cli_simulate_model_sampler_dominates(tmp_path):
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[2].split(",")[0] == "user_id"
     assert len(lines) == 3 + 2 * 2    # two users x two horizons
+
+
+@pytest.mark.parametrize("flag,value", [("--packets", "-5"), ("--packets", "0"),
+                                        ("--horizon", "300"), ("--horizon", "-1")])
+def test_cli_simulate_rejects_counts_without_packets(tmp_path, capsys, flag, value):
+    # a count that leaves no packet to analyse is a config error naming its
+    # flag, not a truncated sample, a NaN row or a numpy traceback
+    cfg = write_cfg(tmp_path)
+    rc = main(["simulate", "--config", cfg, "--packets", "2000", flag, value])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_cli_simulate_no_analysed_packet_is_config_error(tmp_path, capsys):
+    # one analysed slot at lambda = 0.08: user 0 gets no packet at this seed
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg, "--horizon", "401"]) == 1
+    assert "--horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "ris_detnet", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "simulate" in proc.stdout
 
 
 def test_cli_simulate_searches_one_edge_per_user(tmp_path, monkeypatch):

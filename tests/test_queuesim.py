@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ris_detnet.channel import LinkStats
-from ris_detnet.fbc import SecrecyParams, fbc_secrecy_rate
+from ris_detnet.fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_inv
 from ris_detnet.mellin import ArrivalModel, ServiceModel, violation_bound
-from ris_detnet.queuesim import (QueueResult, fbc_service_sampler,
+from ris_detnet.queuesim import (BLOCK_SLOTS, FLUSH_BITS, QueueResult,
+                                 fbc_service_sampler,
                                  model_matched_service_sampler, sample_user_snr,
                                  simulate_queue)
 
@@ -32,6 +35,139 @@ def brute_force_delays(arrivals, service, pkt_bits):
             t_arr, _ = queue.pop(0)
             delays.append(t - t_arr)
     return delays
+
+
+def whole_array_queue(arrival, service_sampler, horizon_slots, n_packets, rng,
+                      warmup_slots=200, censor_margin=200):
+    """Oracle: the Lindley pass over the whole horizon at once, with every
+    packet's departure looked up before the analysed ones are picked."""
+    t_slots = int(horizon_slots)
+    arrivals = rng.poisson(arrival.lambda_pkts, t_slots)
+    service = np.asarray(service_sampler(rng, t_slots), dtype=float)
+    x = float(arrival.pkt_bits)
+    cum_arr = np.cumsum(arrivals) * x
+    flush_cap = cum_arr[-1] + x if cum_arr.size else x
+    cum_srv = np.cumsum(np.where(service >= FLUSH_BITS, flush_cap, service))
+    y = cum_arr - cum_srv
+    run_min = np.minimum.accumulate(np.minimum(y, 0.0))
+    departures = np.maximum.accumulate(cum_srv + run_min)
+    pkt_slot = np.repeat(np.arange(t_slots), arrivals)
+    if pkt_slot.size == 0:
+        return QueueResult(np.empty(0), t_slots, warmup_slots)
+    pkt_level = x * np.arange(1, pkt_slot.size + 1)
+    dep_idx = np.searchsorted(departures, pkt_level, side="left")
+    delay = (dep_idx - pkt_slot).astype(float)
+    delay[dep_idx >= t_slots] = np.inf
+    keep = (pkt_slot >= warmup_slots) & (pkt_slot < t_slots - censor_margin)
+    return QueueResult(delay[keep][:n_packets], t_slots, warmup_slots)
+
+
+def whole_array_physical_sampler(stats, secrecy, per_channel_use=False):
+    """Oracle: the physical sampler's formulas over whole-length arrays."""
+    n_mult = 1.0 if per_channel_use else float(secrecy.blocklength)
+
+    def sampler(rng, n_slots):
+        gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
+        sd = math.sqrt(stats.rho * stats.delta_k_sq / 2.0)
+        re = rng.normal(math.sqrt(stats.rho * stats.upsilon_k), sd, n_slots)
+        im = rng.normal(0.0, sd, n_slots)
+        rate = fbc_secrecy_rate(re ** 2 + im ** 2, gamma_e, secrecy)
+        success = rng.random(n_slots) >= secrecy.epsilon_e
+        return n_mult * rate * success
+
+    return sampler
+
+
+def whole_array_model_sampler(stats, secrecy):
+    """Oracle: the model-matched sampler's formulas over whole-length arrays."""
+    n_cbl = secrecy.blocklength
+    pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
+    qinv_sigma = q_inv(secrecy.sigma_leak)
+    finite_mass = math.exp(-stats.upsilon_k / stats.delta_k_sq)
+
+    def sampler(rng, n_slots):
+        gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
+        gamma_k = rng.exponential(stats.rho * stats.delta_k_sq, n_slots)
+        finite = rng.random(n_slots) < finite_mass
+        wedge = finite & (gamma_k >= gamma_e)
+        pen_e = np.sqrt(dispersion(gamma_e) / n_cbl) * qinv_sigma
+        log2_u = (np.log2(1.0 + gamma_k) - np.log2(1.0 + gamma_e)
+                  - (pen_u + pen_e) / math.log(2.0))
+        bits = np.where(wedge, log2_u, FLUSH_BITS)
+        success = rng.random(n_slots) >= secrecy.epsilon_e
+        return bits * success
+
+    return sampler
+
+
+EDGE_HORIZONS = [0, 1, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(horizon=3 * BLOCK_SLOTS + 7, lam=0.5, load=0.9, flush_share=0.0,
+         neg_share=0.0, tenths=True, warmup=0, censor=0, n_packets=10 ** 9, seed=0)
+@example(horizon=BLOCK_SLOTS + 1, lam=0.5, load=1.5, flush_share=0.001,
+         neg_share=0.05, tenths=False, warmup=-3, censor=-3, n_packets=10 ** 9,
+         seed=3)
+@example(horizon=BLOCK_SLOTS, lam=0.001, load=0.5, flush_share=0.3,
+         neg_share=0.2, tenths=False, warmup=BLOCK_SLOTS, censor=0, n_packets=5,
+         seed=1)
+@example(horizon=300, lam=3.0, load=0.9, flush_share=0.01, neg_share=0.1,
+         tenths=False, warmup=10, censor=400, n_packets=10, seed=2)
+@given(horizon=st.sampled_from(EDGE_HORIZONS) | st.integers(0, 3 * BLOCK_SLOTS + 7),
+       lam=st.sampled_from([0.001, 0.05, 0.5, 3.0]), load=st.floats(0.3, 2.0),
+       flush_share=st.sampled_from([0.0, 0.001, 0.3]),
+       neg_share=st.sampled_from([0.0, 0.05, 0.5]), tenths=st.booleans(),
+       warmup=st.integers(-3, 4 * BLOCK_SLOTS), censor=st.integers(-3, 4 * BLOCK_SLOTS),
+       n_packets=st.integers(0, 3000) | st.just(10 ** 9), seed=st.integers(0, 2 ** 16))
+def test_block_queue_equals_whole_array_pass(horizon, lam, load, flush_share,
+                                             neg_share, tenths, warmup, censor,
+                                             n_packets, seed):
+    # slot blocks with carried sums give every delay bit for bit, across
+    # block edges, flush slots, negative service (the model sampler's
+    # penalty sliver), idle stretches at low lambda, empty analysed ranges
+    # and packet counts cut below the analysed count.  Service in tenths of
+    # a packet puts departures on packet levels up to rounding, so a float
+    # sum taken in another order moves delays.
+    x = 16
+    svc_rng = np.random.default_rng(seed)
+    service = svc_rng.normal(lam * x / load, lam * x, horizon)
+    if tenths:
+        service = np.round(service * 10.0 / x) * (x / 10.0)
+    neg = svc_rng.random(horizon) < neg_share
+    service[neg] = -np.abs(service[neg])
+    service[svc_rng.random(horizon) < flush_share] = FLUSH_BITS
+    sampler = lambda _rng, n: service[:n]
+    arrival = ArrivalModel(lam, x)
+    got = simulate_queue(arrival, sampler, horizon, n_packets,
+                         np.random.default_rng(seed), warmup, censor)
+    want = whole_array_queue(arrival, sampler, horizon, n_packets,
+                             np.random.default_rng(seed), warmup, censor)
+    assert got.delays.dtype == want.delays.dtype
+    assert np.array_equal(got.delays, want.delays)
+    assert (got.n_slots, got.warmup_slots) == (want.n_slots, want.warmup_slots)
+
+
+@pytest.mark.parametrize("n_slots", EDGE_HORIZONS + [3 * BLOCK_SLOTS + 7])
+@pytest.mark.parametrize("kind", ["physical", "per_channel_use", "model"])
+def test_block_samplers_equal_whole_array_samplers(kind, n_slots):
+    # each sampler draws whole-length in the old order and applies its
+    # formulas per block: same bits, and the stream ends in the same place
+    if kind == "model":
+        fast = model_matched_service_sampler(STATS, SECRECY)
+        slow = whole_array_model_sampler(STATS, SECRECY)
+    else:
+        per_cu = kind == "per_channel_use"
+        fast = fbc_service_sampler(STATS, SECRECY, per_channel_use=per_cu)
+        slow = whole_array_physical_sampler(STATS, SECRECY, per_channel_use=per_cu)
+    rng_fast, rng_slow = np.random.default_rng(11), np.random.default_rng(11)
+    got, want = fast(rng_fast, n_slots), slow(rng_slow, n_slots)
+    assert got.shape == want.shape == (n_slots,)
+    assert np.array_equal(got, want)
+    assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+    if kind == "model" and n_slots > BLOCK_SLOTS:
+        # the cases the block code must carry: flushes and negative service
+        assert np.any(got >= FLUSH_BITS) and np.any(got < 0.0)
 
 
 def test_overwhelming_service_all_sojourns_one():
