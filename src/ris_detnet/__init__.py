@@ -7,7 +7,7 @@ from .channel import (ChannelRealization, FadingParams, LinkStats,
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, load_config, load_config_text)
 from .env import ActionCodebook, HybridAction, RisDownlinkEnv, StateVector, build_codebook
-from .fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_func, q_inv, secrecy_capacity
+from .fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_inv, secrecy_capacity
 from .mellin import (ArrivalModel, DelayWindow, DeterminacyResult, QuadratureError,
                      QuadratureSpec, SearchError, SearchSpec, ServiceModel,
                      StabilityError, arrival_mellin, delay_determinacy, kernel,

@@ -311,6 +311,9 @@ def _validate(values: dict):
         raise ConfigError("[agent] learning rates must be positive")
     if ag["n_step"] < 1:
         raise ConfigError("[agent] n_step must be >= 1")
+    if ag["algo"] == "dqn" and ag["per_user_networks"]:
+        raise ConfigError("[agent] per_user_networks = true is not supported by "
+                          "[agent] algo = dqn, which trains one shared network")
     for profile in ("quadrature.train", "quadrature.eval"):
         try:
             QuadratureSpec(**values[profile])

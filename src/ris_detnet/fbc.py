@@ -6,16 +6,18 @@ Normal-approximation secrecy rate for short packets:
 
 with secrecy capacity C = log2((1+gamma_k)/(1+gamma_e)) and channel
 dispersion V = 1 - (1+gamma)^-2.  Negative rates are clamped to zero (no
-secure transmission in that slot).
+secure transmission in that slot).  Qinv comes from the standard library's
+`statistics.NormalDist`, so the package runs on numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 LOG2E = float(np.log2(np.e))
+_STD = NormalDist()
 
 
 @dataclass
@@ -43,16 +45,11 @@ class SecrecyParams:
         return max(1, int(round(self.blocklength)))
 
 
-def q_func(z):
-    """Gaussian tail Q(z) = 0.5*erfc(z/sqrt(2)) = Phi(-z)."""
-    return ndtr(-np.asarray(z, dtype=float))
-
-
 def q_inv(p: float) -> float:
     """Inverse of the Gaussian Q function; Q(q_inv(p)) = p."""
     if not 0.0 < p < 1.0:
         raise ValueError("q_inv argument must be in (0, 1)")
-    return float(-ndtri(p))
+    return -_STD.inv_cdf(p)
 
 
 def dispersion(gamma):

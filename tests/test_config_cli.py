@@ -83,6 +83,15 @@ def test_type_mismatch_diagnostic():
         load_config_text("[budget]\nn_max = many\n")
 
 
+def test_dqn_with_per_user_networks_rejected_at_load():
+    # DqnAgent keeps one network, so the key would be accepted and ignored
+    with pytest.raises(ConfigError, match=r"\[agent\] per_user_networks.*\[agent\] algo"):
+        load_config_text("[agent]\nalgo = dqn\nper_user_networks = true\n")
+    for algo in ("sid_pdqn", "random"):
+        load_config_text(f"[agent]\nalgo = {algo}\nper_user_networks = true\n")
+    load_config_text("[agent]\nalgo = dqn\nper_user_networks = false\n")
+
+
 def test_reference_cfg_equals_defaults():
     # the file's header promises that every key it shows is the default
     path = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
@@ -203,6 +212,21 @@ def test_cli_simulate_no_analysed_packet_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--horizon", "401"]) == 1
     assert "--horizon" in capsys.readouterr().err
     assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_cli_simulate_reports_a_short_sample(tmp_path, capsys):
+    # --horizon 5000 holds about 360 analysed packets per user at lambda = 0.08
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg, "--packets", "2000",
+                 "--horizon", "5000"]) == 0
+    short = [line for line in capsys.readouterr().out.splitlines()
+             if "packets asked for" in line]
+    assert len(short) == 2
+    for k, line in enumerate(short):
+        assert line.startswith(f"user {k}: analysed ")
+        assert "of the 2000 packets" in line and "--horizon" in line
+    assert main(["simulate", "--config", cfg, "--packets", "2000"]) == 0
+    assert "packets asked for" not in capsys.readouterr().out
 
 
 def test_python_dash_m_runs_the_cli():

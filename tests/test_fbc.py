@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from ris_detnet.fbc import (LOG2E, SecrecyParams, dispersion, fbc_secrecy_rate,
-                            q_func, q_inv, secrecy_capacity)
+                            q_inv, secrecy_capacity)
 
 
 def bisect_q_inv(p, lo=-10.0, hi=10.0):
@@ -31,7 +35,36 @@ def test_q_inv_matches_bisection_oracle():
 
 def test_q_inv_round_trip():
     for p in (1e-6, 1e-3, 0.1, 0.9):
-        assert float(q_func(q_inv(p))) == pytest.approx(p, abs=1e-9 * max(p, 1e-3))
+        assert float(0.5 * erfc(q_inv(p) / math.sqrt(2.0))) == pytest.approx(
+            p, abs=1e-9 * max(p, 1e-3))
+
+
+def test_q_inv_equals_scipy_ndtri_at_shipped_probabilities():
+    # every shipped scenario uses epsilon_e = 2e-6 and sigma_leak = 1e-3, so
+    # these values must match the scipy reference bit for bit
+    for p in (2e-6, 1e-3, 0.5):
+        assert type(q_inv(p)) is float
+        assert q_inv(p) == -float(ndtri(p))
+
+
+def test_q_inv_within_1e_15_relative_of_scipy_ndtri():
+    ps = np.geomspace(1e-15, 1.0 - 1e-6, 20000)
+    ours = np.array([q_inv(p) for p in ps])
+    ref = -ndtri(ps)
+    assert np.all(np.abs(ours - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is a test reference only; the package runs on numpy and the stdlib
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ris_detnet, ris_detnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_q_inv_domain():
