@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class EpsilonSchedule:
     """Linear decay from start to end, reaching the floor exactly at
     decay_steps and staying there."""
 
-    start: float = 1.0
-    end: float = 0.05
-    decay_steps: int = 4000
+    start: float
+    end: float
+    decay_steps: int
 
     def value(self, step: int) -> float:
         if self.decay_steps <= 0:
@@ -46,32 +46,22 @@ class EpsilonSchedule:
 
 @dataclass
 class AgentConfig:
-    alpha: float = 1e-3              # critic learning rate
-    beta: float = 1e-4               # actor learning rate
-    gamma_discount: float = 0.9
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
-    n_step: int = 3
-    batch_size: int = 32
-    buffer_capacity: int = 20000
-    target_sync: int = 100
-    use_target: bool = True
-    actor_loss_mode: str = "paper_literal"
-    optimizer: str = "adam"
-    warmup: int = 500
-    grad_clip: float = 10.0
-    hidden: tuple = (128, 128)
-    per_user_networks: bool = False
-    cbl_levels: int = 8
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("learning rates must be positive")
-        if not 0.0 <= self.gamma_discount <= 1.0:
-            raise ValueError("discount must be in [0, 1]")
-        if self.n_step < 1:
-            raise ValueError("n_step must be >= 1")
-        if self.actor_loss_mode not in ("paper_literal", "standard_pdqn"):
-            raise ValueError(f"unknown actor_loss_mode: {self.actor_loss_mode}")
+    alpha: float                     # critic learning rate
+    beta: float                      # actor learning rate
+    gamma_discount: float
+    epsilon: EpsilonSchedule
+    n_step: int
+    batch_size: int
+    buffer_capacity: int
+    target_sync: int
+    use_target: bool
+    actor_loss_mode: str
+    optimizer: str
+    warmup: int
+    grad_clip: float
+    hidden: tuple
+    per_user_networks: bool
+    cbl_levels: int
 
     @classmethod
     def from_scenario(cls, cfg: ScenarioConfig) -> "AgentConfig":
@@ -641,7 +631,8 @@ class RandomPolicy(Agent):
 
     def __init__(self, env: RisDownlinkEnv, rng: np.random.Generator):
         # every action explores, so the log reads epsilon = 1; no target to copy
-        config = AgentConfig(epsilon=EpsilonSchedule(1.0, 1.0, 0), use_target=False)
+        config = replace(AgentConfig.from_scenario(env.config),
+                         epsilon=EpsilonSchedule(1.0, 1.0, 0), use_target=False)
         super().__init__(env, config, rng, 0, 0)
 
     def act(self, states: list, epsilon: float):

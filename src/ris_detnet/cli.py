@@ -20,7 +20,7 @@ from .agents import (AgentConfig, DqnAgent, RandomPolicy, SidPdqnAgent,
                      load_checkpoint, save_checkpoint)
 from .charts import svg_line_chart
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
-                     dump_config, load_config)
+                     dump_config, fmt_value, load_config)
 from .env import RisDownlinkEnv
 from .mellin import QuadratureError, SearchError
 from .queuesim import (CENSOR_SLOTS, WARMUP_SLOTS, fbc_service_sampler,
@@ -31,30 +31,19 @@ ANALYZE_COLUMNS = ["user_id", "t_min", "t_max", "varpi", "bound_tmin", "bound_tm
                    "clamped_flags", "quadrature_error_estimate"]
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: str, columns, rows, cfg: ScenarioConfig, seed: int):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         fh.write(f"# seed={seed}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
+            fh.write(",".join(fmt_value(row[c]) for c in columns) + "\n")
 
 
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg.values["run"]["seed"] = args.seed
-    out = os.environ.get("RIS_DETNET_OUT")
-    if out:
-        cfg.values["run"]["out_dir"] = out
     if args.out:
         cfg.values["run"]["out_dir"] = args.out
     return cfg
@@ -253,8 +242,7 @@ def cmd_sweep(args) -> int:
         for rep in range(args.reps):
             # paired-seed policy: the same seed at every swept value
             payloads.append((text, args.param, value, rep, seed + rep, args.mode))
-    workers = int(os.environ.get("RIS_DETNET_WORKERS",
-                                 cfg.get("run", "workers") or 0)) or os.cpu_count()
+    workers = cfg.get("run", "workers") or os.cpu_count()
     outdir = _outdir(cfg)
     manifest_path = os.path.join(outdir, "sweep_manifest.json")
     results = [None] * len(payloads)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import FadingParams, Topology
 from .fbc import SecrecyParams
-from .mellin import ArrivalModel, DelayWindow, QuadratureSpec, SearchSpec
+from .mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow, QuadratureSpec,
+                     SearchSpec)
 
 
 class ConfigError(ValueError):
@@ -26,11 +27,14 @@ class ConfigError(ValueError):
 
 
 def _parse_float(text):
-    return float(text)
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return val
 
 
 def _parse_int(text):
-    val = float(text)
+    val = _parse_float(text)
     if val != int(val):
         raise ValueError(f"expected integer, got {text!r}")
     return int(val)
@@ -49,11 +53,7 @@ def _parse_pair(text):
     parts = text.split()
     if len(parts) != 2:
         raise ValueError(f"expected two coordinates, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
-
-
-def _parse_floats(text):
-    return tuple(float(p) for p in text.split())
+    return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
 def _parse_ints(text):
@@ -63,7 +63,7 @@ def _parse_ints(text):
 def _parse_auto_float(text):
     if text.strip().lower() == "auto":
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 def _choice(*options):
@@ -75,13 +75,14 @@ def _choice(*options):
     return parse
 
 
-def _fmt(value) -> str:
+def fmt_value(value) -> str:
+    """Canonical text of a config value or a CSV cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "auto"
     if isinstance(value, tuple):
-        return " ".join(_fmt(v) for v in value)
+        return " ".join(fmt_value(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -167,16 +168,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "cbl_levels": (_parse_int, 8),
         "eval_episodes": (_parse_int, 5),
     },
-    "quadrature.train": {
-        "rel_tol": (_parse_float, 1e-3),
-        "abs_tol": (_parse_float, 1e-12),
-        "max_subdivisions": (_parse_int, 6),
-    },
-    "quadrature.eval": {
-        "rel_tol": (_parse_float, 1e-6),
-        "abs_tol": (_parse_float, 1e-14),
-        "max_subdivisions": (_parse_int, 8),
-    },
     "run": {
         "seed": (_parse_int, 1),
         "out_dir": (str, "out"),
@@ -201,10 +192,15 @@ class ScenarioConfig:
         section, key = path.rsplit(".", 1)
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"unknown parameter path: {path!r}")
-        parser = SCHEMA[section][key][0]
-        value = parser(str(raw_value)) if not isinstance(raw_value, str) else parser(raw_value)
-        self.values[section][key] = value
-        _validate(self.values)
+        self._assign(section, key, str(raw_value))
+        _validate(self)
+
+    def _assign(self, section: str, key: str, raw: str):
+        """Parse the text of one schema key into place, naming it on failure."""
+        try:
+            self.values[section][key] = SCHEMA[section][key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
 
     def copy(self) -> "ScenarioConfig":
         return ScenarioConfig({s: dict(kv) for s, kv in self.values.items()})
@@ -246,7 +242,7 @@ class ScenarioConfig:
         return DelayWindow(self.get("delay", "t_min"), self.get("delay", "t_max"))
 
     def build_quadrature(self, profile: str) -> QuadratureSpec:
-        return QuadratureSpec(**self.values[f"quadrature.{profile}"])
+        return QUADRATURE_PROFILES[profile]
 
     def build_search(self, profile: str | None = None) -> SearchSpec:
         """Search controls; both quadrature profiles search alike, since the
@@ -268,57 +264,55 @@ class ScenarioConfig:
         return max(self.get("agent", "batch_size"), 500)
 
 
-def _validate(values: dict):
-    """Cross-field invariants, raised with section diagnostics."""
-    try:
-        DelayWindow(values["delay"]["t_min"], values["delay"]["t_max"])
-    except ValueError as exc:
-        raise ConfigError(f"[delay] invalid window: {exc}") from None
-    try:
-        SecrecyParams(values["secrecy"]["epsilon_e"], values["secrecy"]["sigma_leak"], 1.0)
-    except ValueError as exc:
-        raise ConfigError(f"[secrecy] {exc}") from None
-    try:
-        FadingParams(**values["fading"])
-    except ValueError as exc:
-        raise ConfigError(f"[fading] {exc}") from None
-    try:
-        ArrivalModel(values["arrival"]["lambda_pkts"], values["arrival"]["pkt_bits"],
-                     values["arrival"]["variant"])
-    except ValueError as exc:
-        raise ConfigError(f"[arrival] {exc}") from None
-    if values["budget"]["p_max"] <= 0:
-        raise ConfigError("[budget] p_max must be positive")
-    if values["budget"]["n_max"] < 1:
-        raise ConfigError("[budget] n_max must be >= 1")
-    cb = values["codebook"]
-    if cb["n_power_levels"] < 1 or cb["n_codewords"] < 1:
-        raise ConfigError("[codebook] counts must be >= 1")
-    if cb["n_floor"] < 1:
-        raise ConfigError("[codebook] n_floor must be >= 1")
-    if cb["n_ceiling"] is not None and cb["n_ceiling"] < cb["n_floor"]:
-        raise ConfigError("[codebook] n_ceiling must be >= n_floor")
-    if not 0 <= cb["align_user"] < values["topology"]["n_users"]:
-        raise ConfigError("[codebook] align_user out of range")
-    if values["topology"]["n_users"] < 1:
-        raise ConfigError("[topology] n_users must be >= 1")
+# settings that count things: each must be at least 1
+_COUNTS = (("topology", "n_users"), ("budget", "n_max"),
+           ("codebook", "n_power_levels"), ("codebook", "n_codewords"),
+           ("codebook", "n_floor"), ("env", "episode_steps"),
+           ("agent", "n_step"), ("agent", "batch_size"), ("agent", "buffer_capacity"),
+           ("agent", "target_sync"), ("agent", "episodes"), ("agent", "cbl_levels"),
+           ("agent", "eval_episodes"))
+
+
+def _validate(cfg: ScenarioConfig):
+    """Cross-field invariants, raised with section diagnostics.
+
+    The model objects check their own fields, so each is built here as the
+    commands build it.  The topology gets one user at Eve's position, so it
+    also rejects an AP or RIS placed on Eve.
+    """
+    values = cfg.values
+    for section, key in _COUNTS:
+        if values[section][key] < 1:
+            raise ConfigError(f"[{section}] {key} must be >= 1")
     if values["topology"]["user_radius"] <= 0:
         raise ConfigError("[topology] user_radius must be positive")
+    user_at_eve = values["topology"]["eve_pos"]
+    for section, build in (("delay", cfg.build_window),
+                           ("secrecy", lambda: cfg.build_secrecy(1.0)),
+                           ("fading", cfg.build_fading),
+                           ("arrival", cfg.build_arrival),
+                           ("topology", lambda: cfg.build_topology(user_at_eve))):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+    if values["budget"]["p_max"] <= 0:
+        raise ConfigError("[budget] p_max must be positive")
+    cb = values["codebook"]
+    if cfg.n_ceiling < cb["n_floor"]:
+        raise ConfigError("[codebook] n_ceiling (auto: n_max / n_users) must be >= n_floor")
+    if not 0 <= cb["align_user"] < values["topology"]["n_users"]:
+        raise ConfigError("[codebook] align_user out of range")
     ag = values["agent"]
+    if any(width < 1 for width in ag["hidden"]):
+        raise ConfigError("[agent] hidden widths must be >= 1")
     if not 0.0 <= ag["gamma"] <= 1.0:
         raise ConfigError("[agent] gamma must be in [0, 1]")
     if ag["alpha"] <= 0 or ag["beta"] <= 0:
         raise ConfigError("[agent] learning rates must be positive")
-    if ag["n_step"] < 1:
-        raise ConfigError("[agent] n_step must be >= 1")
     if ag["algo"] == "dqn" and ag["per_user_networks"]:
         raise ConfigError("[agent] per_user_networks = true is not supported by "
                           "[agent] algo = dqn, which trains one shared network")
-    for profile in ("quadrature.train", "quadrature.eval"):
-        try:
-            QuadratureSpec(**values[profile])
-        except ValueError as exc:
-            raise ConfigError(f"[{profile}] {exc}") from None
 
 
 def default_config() -> ScenarioConfig:
@@ -340,12 +334,8 @@ def load_config_text(text: str) -> ScenarioConfig:
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            parse = SCHEMA[section][key][0]
-            try:
-                cfg.values[section][key] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
-    _validate(cfg.values)
+            cfg._assign(section, key, raw)
+    _validate(cfg)
     return cfg
 
 
@@ -360,7 +350,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
     for section, keys in SCHEMA.items():
         out.write(f"[{section}]\n")
         for key in keys:
-            out.write(f"{key} = {_fmt(cfg.values[section][key])}\n")
+            out.write(f"{key} = {fmt_value(cfg.values[section][key])}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -374,5 +364,5 @@ def config_hash(cfg: ScenarioConfig) -> str:
     for section, keys in SCHEMA.items():
         for key in keys:
             if (section, key) not in _HASH_EXCLUDE:
-                out.write(f"{section}.{key}={_fmt(cfg.values[section][key])}\n")
+                out.write(f"{section}.{key}={fmt_value(cfg.values[section][key])}\n")
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]

@@ -18,7 +18,7 @@ from .channel import (LinkStats, PhaseShiftConfig, composite_gain,
                       delta_sq_closed_form, estimate_eve_mean_snr,
                       los_components, sample_channels)
 from .config import ScenarioConfig
-from .mellin import ServiceModel, delay_determinacy
+from .mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy
 
 T_SCALE = 32.0   # slot counts are fed to the networks divided by this
 
@@ -192,9 +192,7 @@ class RisDownlinkEnv:
             for k in range(self.n_users):
                 self.upsilon[k, c] = abs(np.vdot(f_user_los[k], coeff * g_los)) ** 2
 
-        self._quad = {p: config.build_quadrature(p) for p in ("train", "eval")}
-        self._search = config.build_search()
-        self._varpi_cache = {p: {} for p in ("train", "eval")}
+        self._varpi_cache = {p: {} for p in QUADRATURE_PROFILES}
 
         self._episode = -1
         self._fade_rng = None
@@ -229,8 +227,8 @@ class RisDownlinkEnv:
         if hit is not None:
             return hit
         service = ServiceModel(stats, self.config.build_secrecy(n_q),
-                               self._quad[profile])
-        result = delay_determinacy(self.window, self.arrival, service, self._search)
+                               QUADRATURE_PROFILES[profile])
+        result = delay_determinacy(self.window, self.arrival, service)
         cache[key] = result
         return result
 

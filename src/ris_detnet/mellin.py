@@ -96,7 +96,7 @@ class ArrivalModel:
             raise ValueError(f"unknown arrival variant: {self.variant}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and order doubling of the H(s) double integral."""
 
@@ -110,6 +110,14 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+
+
+# the coarse profile scores allocations inside the RL loop; the fine one
+# scores analyze, simulate and evaluate
+QUADRATURE_PROFILES = {
+    "train": QuadratureSpec(rel_tol=1e-3, abs_tol=1e-12, max_subdivisions=6),
+    "eval": QuadratureSpec(),
+}
 
 
 @dataclass

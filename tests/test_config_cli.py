@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -7,10 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ris_detnet import config as config_module
+from ris_detnet.channel import FadingParams
 from ris_detnet.cli import build_parser, main
-from ris_detnet.config import (ConfigError, config_hash, default_config,
+from ris_detnet.config import (SCHEMA, ConfigError, config_hash, default_config,
                                dump_config, load_config, load_config_text)
+from ris_detnet.fbc import SecrecyParams
+from ris_detnet.mellin import ArrivalModel
+
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
 SMALL = """
 [topology]
@@ -67,15 +77,18 @@ def test_invalid_window_names_section():
 
 def test_unknown_key_and_section_rejected():
     for text in ("[delay]\nt_mni = 5\n", "[delay]\nslot_ms = 1.0\n",
-                 "[agent]\ncheckpoint_every = 50\n",
+                 "[agent]\ncheckpoint_every = 50\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config_text(text)
+    # the H(s) tolerances are fixed in mellin.QUADRATURE_PROFILES
+    for text in ("[delays]\nt_min = 5\n",
                  "[quadrature.train]\ngrid_points = 50\n",
                  "[quadrature.eval]\ngolden_iters = 60\n",
                  "[quadrature.train]\nouter_truncation_mult = 40\n",
-                 "[quadrature.eval]\ninner_truncation_mult = 40\n"):
-        with pytest.raises(ConfigError, match="unknown key"):
+                 "[quadrature.eval]\ninner_truncation_mult = 40\n",
+                 "[quadrature.eval]\nrel_tol = 1e-6\n"):
+        with pytest.raises(ConfigError, match="unknown section"):
             load_config_text(text)
-    with pytest.raises(ConfigError, match="unknown section"):
-        load_config_text("[delays]\nt_min = 5\n")
 
 
 def test_type_mismatch_diagnostic():
@@ -94,8 +107,71 @@ def test_dqn_with_per_user_networks_rejected_at_load():
 
 def test_reference_cfg_equals_defaults():
     # the file's header promises that every key it shows is the default
-    path = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
-    assert config_hash(load_config(str(path))) == config_hash(default_config())
+    assert config_hash(load_config(str(REFERENCE_CFG))) == config_hash(default_config())
+    # ... and it shows every key, once
+    shown, section = [], None
+    for line in REFERENCE_CFG.read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            shown.append((section, line.split("=")[0].strip()))
+    assert sorted(shown) == sorted((s, k) for s, keys in SCHEMA.items() for k in keys)
+
+
+def test_schema_defaults_equal_model_defaults():
+    def defaults(section):
+        return {key: spec[1] for key, spec in SCHEMA[section].items()}
+
+    assert defaults("fading") == dataclasses.asdict(FadingParams())
+    secrecy = SecrecyParams()
+    assert defaults("secrecy") == {"epsilon_e": secrecy.epsilon_e,
+                                   "sigma_leak": secrecy.sigma_leak}
+    variant = {f.name: f.default for f in dataclasses.fields(ArrivalModel)}["variant"]
+    assert defaults("arrival")["variant"] == variant
+
+
+HOSTILE = [
+    ("[arrival]\nlambda_pkts = nan\n", "[arrival] lambda_pkts"),
+    ("[env]\nviolation_penalty = nan\n", "[env] violation_penalty"),
+    ("[agent]\nalpha = nan\n", "[agent] alpha"),
+    ("[budget]\np_max = inf\n", "[budget] p_max"),
+    ("[budget]\nn_max = inf\n", "[budget] n_max"),
+    ("[agent]\ntarget_sync = 0\n", "[agent] target_sync"),
+    ("[agent]\nbuffer_capacity = 0\n", "[agent] buffer_capacity"),
+    ("[agent]\nbatch_size = 0\n", "[agent] batch_size"),
+    ("[agent]\nepisodes = 0\n", "[agent] episodes"),
+    ("[agent]\neval_episodes = 0\n", "[agent] eval_episodes"),
+    ("[agent]\nalgo = dqn\ncbl_levels = 0\n", "[agent] cbl_levels"),
+    ("[agent]\nhidden = 8 0\n", "[agent] hidden"),
+    ("[env]\nepisode_steps = 0\n", "[env] episode_steps"),
+    # auto ceiling n_max / n_users = 8 lies below n_floor = 16
+    ("[topology]\nn_users = 2\n[budget]\nn_max = 16\n", "[codebook] n_ceiling"),
+    ("[topology]\ncarrier_wavelength = 0\n", "[topology] carrier_wavelength"),
+    ("[topology]\nn_elements = -1\n", "[topology] n_elements"),
+    ("[topology]\nris_pos = 0 20\n", "[topology]"),     # the RIS on the AP
+]
+
+
+@pytest.mark.parametrize("text,where", HOSTILE, ids=[w for _, w in HOSTILE])
+def test_hostile_config_is_config_error(text, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config_text(text)
+
+
+FLOAT_KEYS = [(section, key, parser) for section, keys in SCHEMA.items()
+              for key, (parser, _) in keys.items()
+              if parser in (config_module._parse_float, config_module._parse_auto_float,
+                            config_module._parse_pair)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(FLOAT_KEYS), bad=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_float_is_config_error(entry, bad):
+    section, key, parser = entry
+    text = f"0 {bad}" if parser is config_module._parse_pair else bad
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        load_config_text(f"[{section}]\n{key} = {text}\n")
 
 
 def test_round_trip_hash_stable():
@@ -116,6 +192,10 @@ def test_set_by_path():
         cfg.set_by_path("delay.bogus", "1")
     with pytest.raises(ConfigError):
         cfg.set_by_path("nodots", "1")
+    # a swept value is parsed and checked as a file value is
+    for value in ("nan", "many"):
+        with pytest.raises(ConfigError, match=r"\[arrival\] lambda_pkts"):
+            cfg.set_by_path("arrival.lambda_pkts", value)
 
 
 def test_auto_values():
@@ -182,6 +262,25 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+def run_cli(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "ris_detnet", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command,section,line", [
+    ("analyze", "[topology]", "carrier_wavelength = 0"),
+    ("train", "[agent]", "target_sync = 0")])
+def test_cli_hostile_config_exits_cleanly(tmp_path, command, section, line):
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace(f"{section}\n", f"{section}\n{line}\n"))
+    proc = run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_simulate_model_sampler_dominates(tmp_path):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SMALL)
@@ -230,11 +329,7 @@ def test_cli_simulate_reports_a_short_sample(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "ris_detnet", "--help"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli(["--help"])
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 

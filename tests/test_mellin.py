@@ -10,8 +10,8 @@ from scipy.integrate import dblquad
 from ris_detnet import mellin
 from ris_detnet.channel import LinkStats
 from ris_detnet.fbc import SecrecyParams, dispersion, q_inv
-from ris_detnet.mellin import (ArrivalModel, DelayWindow, QuadratureError,
-                               QuadratureSpec, SearchError, SearchSpec,
+from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
+                               QuadratureError, QuadratureSpec, SearchError, SearchSpec,
                                ServiceModel, StabilityError,
                                arrival_mellin, delay_determinacy, kernel,
                                kernel_from_values, lemma1_kernel,
@@ -450,9 +450,6 @@ def _reference_config_services():
         for k in range(env.n_users)]
 
 
-TRAIN_QUADRATURE = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-12, max_subdivisions=6)
-
-
 def _equivalence_cases():
     cfg, users = _reference_config_services()
     ref_window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
@@ -464,7 +461,7 @@ def _equivalence_cases():
                      id="pkt_bits 16, interior minima"),
         pytest.param(DelayWindow(2, 8), ARRIVAL,
                      lambda: ServiceModel(make_stats(), SecrecyParams(2e-6, 1e-3, 64.0),
-                                          TRAIN_QUADRATURE),
+                                          QUADRATURE_PROFILES["train"]),
                      id="pkt_bits 16, train quadrature"),
         pytest.param(DelayWindow(2, 8), ArrivalModel(0.08, 64), make_service,
                      id="pkt_bits 64, interior minima"),
@@ -567,7 +564,7 @@ def test_error_estimate_ignores_probes_past_edge():
     # four times the reported one) does not move it
     def make():
         return ServiceModel(make_stats(), SecrecyParams(2e-6, 1e-3, 64.0),
-                            TRAIN_QUADRATURE)
+                            QUADRATURE_PROFILES["train"])
 
     window = DelayWindow(2, 8)
     plain = delay_determinacy(window, ARRIVAL, make())
