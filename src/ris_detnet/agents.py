@@ -10,7 +10,8 @@ actions' parameters.  Users select sequentially within a slot in a rotating
 order, telegraphing their budget consumption and choices to later users
 through the state.  Baselines: a plain DQN over the fully discretised action
 space and a random policy.  All three run training and evaluation through
-the one rollout loop of Agent.
+the one rollout loop of Agent, and both learners keep their networks in
+NET_DTYPE, so they are compared at one precision.
 """
 from __future__ import annotations
 
@@ -25,7 +26,10 @@ from .config import ScenarioConfig, config_hash
 from .env import STATE_DIM, HybridAction, RisDownlinkEnv
 from .neural import Mlp, OptimizerState, clip_global_norm, optimizer_step
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# the learners' weights, activations, gradients and moments; replay records
+# and targets stay float64
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -87,18 +91,20 @@ class ReplayBuffer:
     """Fixed-capacity ring of n-step transition records.
 
     Oldest entries are overwritten in insertion order after wraparound;
-    batches are sampled uniformly without replacement.
+    batches are sampled uniformly without replacement.  Rows at and above
+    size are never read, so the arrays start uninitialised: zeroing them
+    would touch every page of a buffer that may never fill.
     """
 
     def __init__(self, capacity: int, state_dim: int, param_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.param_vecs = np.zeros((capacity, param_dim))
-        self.action_idx = np.zeros(capacity, dtype=int)
-        self.n_reward = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.done = np.zeros(capacity, dtype=bool)
-        self.steps = np.zeros(capacity, dtype=int)
+        self.states = np.empty((capacity, state_dim))
+        self.param_vecs = np.empty((capacity, param_dim))
+        self.action_idx = np.empty(capacity, dtype=int)
+        self.n_reward = np.empty(capacity)
+        self.next_states = np.empty((capacity, state_dim))
+        self.done = np.empty(capacity, dtype=bool)
+        self.steps = np.empty(capacity, dtype=int)
         self.cursor = 0
         self.size = 0
 
@@ -130,13 +136,15 @@ class ReplayBuffer:
         }
 
 
-def _buffer(scratch: dict | None, tag: str, shape: tuple) -> np.ndarray:
-    """An uninitialised array, kept in scratch for the next call of this shape."""
+def _buffer(scratch: dict | None, tag: str, shape: tuple,
+            dtype: np.dtype) -> np.ndarray:
+    """An uninitialised array, kept in scratch for the next call of this
+    shape and dtype."""
     if scratch is None:
-        return np.empty(shape)
-    key = (tag, shape)
+        return np.empty(shape, dtype)
+    key = (tag, shape, dtype)
     if key not in scratch:
-        scratch[key] = np.empty(shape)
+        scratch[key] = np.empty(shape, dtype)
     return scratch[key]
 
 
@@ -146,25 +154,26 @@ def pass_q(critic: Mlp, states: np.ndarray, params: np.ndarray,
 
     Pass L feeds [s, x_L e_L] and keeps output L alone.  The passes share the
     state's share of the first layer, so it is computed once and broadcast.
-    Returns (q of shape (batch, n_discrete), cache for pass_q_param_grad).
-    With a scratch dict kept by the caller, the cache arrays are reused
-    between calls, so a cache is valid until the next call with that dict.
+    Returns (q of shape (batch, n_discrete), cache for pass_q_param_grad),
+    both in the critic's dtype.  With a scratch dict kept by the caller, the
+    cache arrays are reused between calls, so a cache is valid until the
+    next call with that dict.
     """
-    states = np.atleast_2d(states)
-    params = np.atleast_2d(params)
+    states = np.atleast_2d(np.asarray(states, dtype=critic.dtype))
+    params = np.atleast_2d(np.asarray(params, dtype=critic.dtype))
     w0 = critic.weights[0]
     w_x = w0[:, states.shape[1]:]
     base = states @ w0[:, :states.shape[1]].T + critic.biases[0]
     if critic.n_layers == 1:
         return base + params * np.diagonal(w_x), []
     b, n = params.shape
-    h = _buffer(scratch, "act0", (b, n, w0.shape[0]))
+    h = _buffer(scratch, "act0", (b, n, w0.shape[0]), critic.dtype)
     np.einsum("bl,lh->blh", params, np.ascontiguousarray(w_x.T), out=h)
     h += base[:, None, :]
     np.maximum(h, 0.0, out=h)
     acts = [h]
     for i, (w, bias) in enumerate(zip(critic.weights[1:-1], critic.biases[1:-1]), 1):
-        h = _buffer(scratch, f"act{i}", (b, n, w.shape[0]))
+        h = _buffer(scratch, f"act{i}", (b, n, w.shape[0]), critic.dtype)
         np.matmul(acts[-1].reshape(b * n, -1), w.T, out=h.reshape(b * n, -1))
         h += bias
         np.maximum(h, 0.0, out=h)
@@ -179,6 +188,7 @@ def pass_q_param_grad(critic: Mlp, acts: list, dq: np.ndarray) -> np.ndarray:
     Weight gradients are not formed: the actor loss leaves the critic fixed.
     The backward pass overwrites the arrays of acts, the cache of pass_q.
     """
+    dq = np.asarray(dq, dtype=critic.dtype)
     b, n = dq.shape
     w_x = critic.weights[0][:, critic.layer_dims[0] - n:].T
     if critic.n_layers == 1:
@@ -501,9 +511,10 @@ class SidPdqnAgent(Agent):
         net_rng = np.random.default_rng([seed, 22])
         self.n_discrete = n_l
         self.actors = [Mlp([STATE_DIM, *config.hidden, 2 * n_l], net_rng,
-                           head="actor", n_discrete=n_l) for _ in range(n_nets)]
-        self.critics = [Mlp([STATE_DIM + n_l, *config.hidden, n_l], net_rng)
-                        for _ in range(n_nets)]
+                           head="actor", n_discrete=n_l, dtype=NET_DTYPE)
+                       for _ in range(n_nets)]
+        self.critics = [Mlp([STATE_DIM + n_l, *config.hidden, n_l], net_rng,
+                            dtype=NET_DTYPE) for _ in range(n_nets)]
         self.critic_targets = [c.copy() for c in self.critics]
         self.actor_opts = [config.make_optimizer(config.beta) for _ in range(n_nets)]
         self.critic_opts = [config.make_optimizer(config.alpha) for _ in range(n_nets)]
@@ -573,7 +584,8 @@ class DqnAgent(Agent):
         levels = config.cbl_levels
         self.cbl_grid = np.array([0.5]) if levels == 1 else np.linspace(0.0, 1.0, levels)
         self.n_actions = env.codebook.size * len(self.cbl_grid)
-        self.q_net = Mlp([STATE_DIM, *config.hidden, self.n_actions], net_rng)
+        self.q_net = Mlp([STATE_DIM, *config.hidden, self.n_actions], net_rng,
+                         dtype=NET_DTYPE)
         self.q_target = self.q_net.copy()
         self.opt = config.make_optimizer(config.alpha)
         self.no_param = np.zeros(1)

@@ -57,6 +57,8 @@ class Topology:
             raise ValueError("carrier_wavelength must be positive")
         if self.element_spacing is None:
             self.element_spacing = self.carrier_wavelength / 2.0
+        if self.element_spacing <= 0:
+            raise ValueError("element_spacing must be positive")
         for name, d in (("ap-ris", self.dist_ap_ris),
                         ("ap-eve", self.dist_ap_eve)):
             if d <= 0:

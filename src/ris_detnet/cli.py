@@ -43,6 +43,8 @@ def write_csv(path: str, columns, rows, cfg: ScenarioConfig, seed: int):
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.values["run"]["seed"] = args.seed
     if args.out:
         cfg.values["run"]["out_dir"] = args.out

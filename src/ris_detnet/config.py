@@ -299,10 +299,20 @@ def _validate(cfg: ScenarioConfig):
     if values["budget"]["p_max"] <= 0:
         raise ConfigError("[budget] p_max must be positive")
     cb = values["codebook"]
+    # 2**phase_bits grid levels, drawn as int64
+    if not 1 <= cb["phase_bits"] <= 62:
+        raise ConfigError("[codebook] phase_bits must be in [1, 62]")
     if cfg.n_ceiling < cb["n_floor"]:
         raise ConfigError("[codebook] n_ceiling (auto: n_max / n_users) must be >= n_floor")
     if not 0 <= cb["align_user"] < values["topology"]["n_users"]:
         raise ConfigError("[codebook] align_user out of range")
+    alloc = values["allocation"]
+    if alloc["power"] is not None and alloc["power"] <= 0:
+        raise ConfigError("[allocation] power must be positive")
+    if alloc["cbl"] is not None and alloc["cbl"] < 1:
+        raise ConfigError("[allocation] cbl must be >= 1")
+    if values["run"]["seed"] < 0:
+        raise ConfigError("[run] seed must be >= 0")
     ag = values["agent"]
     if any(width < 1 for width in ag["hidden"]):
         raise ConfigError("[agent] hidden widths must be >= 1")

@@ -4,7 +4,8 @@ Two output heads cover both networks: "identity" (Critic Q-values) and
 "actor", which splits the final layer into a sigmoid block of continuous
 parameters and a softmax block of discrete-action probabilities.  Gradients
 are exact reverse-mode; with both moment decay rates at zero the optimizer
-is literal gradient descent.
+is literal gradient descent.  Every operation follows the dtype of the
+weights: float64 by default, or float32 when the net is built so.
 """
 from __future__ import annotations
 
@@ -35,11 +36,12 @@ class Mlp:
 
     For head="actor" the last layer width must be 2*n_discrete: the first
     half squashes to [0, 1] continuous parameters, the second half is a
-    probability head.
+    probability head.  The weights are drawn in float64 and cast to dtype,
+    so a float32 net holds its float64 twin's weights rounded.
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator, head="identity",
-                 n_discrete: int | None = None):
+                 n_discrete: int | None = None, dtype=np.float64):
         if head not in ("identity", "actor"):
             raise ValueError(f"unknown head: {head}")
         if head == "actor":
@@ -52,12 +54,16 @@ class Mlp:
         self.biases = []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
             scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, (fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            self.weights.append(rng.normal(0.0, scale, (fan_out, fan_in)).astype(dtype))
+            self.biases.append(np.zeros(fan_out, dtype=dtype))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
     def parameters(self):
         """Flat list [W0, b0, W1, b1, ...]; shared references, not copies."""
@@ -69,7 +75,7 @@ class Mlp:
     def forward(self, x):
         """Returns (output, cache).  Identity head: output is the last
         pre-activation; actor head: output is (params, probs)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         if x.shape[1] != self.layer_dims[0]:
             raise ValueError(f"input width {x.shape[1]} != {self.layer_dims[0]}")
         acts = [x]
@@ -98,14 +104,15 @@ class Mlp:
         """
         acts, pre, head_vals = cache
         if self.head == "identity":
-            delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
+            delta = np.atleast_2d(np.asarray(grad_out, dtype=self.dtype))
         else:
             grad_params, grad_probs = grad_out
             params, probs = head_vals
             nd = self.n_discrete
             delta = np.empty_like(pre)
-            delta[:, :nd] = np.atleast_2d(grad_params) * params * (1.0 - params)
-            gp = np.atleast_2d(grad_probs)
+            delta[:, :nd] = (np.atleast_2d(np.asarray(grad_params, dtype=self.dtype))
+                             * params * (1.0 - params))
+            gp = np.atleast_2d(np.asarray(grad_probs, dtype=self.dtype))
             # softmax Jacobian: p * (g - <g, p>)
             delta[:, nd:] = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
         grads = []
@@ -134,6 +141,7 @@ class Mlp:
             "layer_dims": self.layer_dims,
             "head": self.head,
             "n_discrete": self.n_discrete,
+            "dtype": self.dtype.name,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -144,8 +152,9 @@ class Mlp:
         net.layer_dims = list(blob["layer_dims"])
         net.head = blob["head"]
         net.n_discrete = blob["n_discrete"]
-        net.weights = [np.array(w, dtype=float) for w in blob["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in blob["biases"]]
+        dtype = np.dtype(blob["dtype"])
+        net.weights = [np.array(w, dtype=dtype) for w in blob["weights"]]
+        net.biases = [np.array(b, dtype=dtype) for b in blob["biases"]]
         return net
 
 
@@ -174,6 +183,7 @@ class OptimizerState:
         return {
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps, "step_count": self.step_count,
+            "dtype": None if self.m is None else self.m[0].dtype.name,
             "m": None if self.m is None else [a.tolist() for a in self.m],
             "v": None if self.v is None else [a.tolist() for a in self.v],
         }
@@ -183,8 +193,9 @@ class OptimizerState:
         opt = cls(blob["lr"], blob["beta1"], blob["beta2"], blob["eps"])
         opt.step_count = blob["step_count"]
         if blob["m"] is not None:
-            opt.m = [np.array(a, dtype=float) for a in blob["m"]]
-            opt.v = [np.array(a, dtype=float) for a in blob["v"]]
+            dtype = np.dtype(blob["dtype"])
+            opt.m = [np.array(a, dtype=dtype) for a in blob["m"]]
+            opt.v = [np.array(a, dtype=dtype) for a in blob["v"]]
         return opt
 
 

@@ -9,9 +9,11 @@ from ris_detnet.agents import (AgentConfig, DqnAgent, EpsilonSchedule,
                                NStepAssembler, ReplayBuffer, SidPdqnAgent,
                                actor_loss_and_grads, critic_loss_and_grads,
                                critic_update, actor_update, n_step_target,
-                               select_action, sid_collect_slot)
+                               pass_q, pass_q_param_grad, select_action,
+                               sid_collect_slot)
 from ris_detnet.env import RisDownlinkEnv
-from ris_detnet.neural import Mlp, OptimizerState
+from ris_detnet.env import STATE_DIM as ENV_STATE_DIM
+from ris_detnet.neural import Mlp, OptimizerState, optimizer_step
 
 STATE_DIM = 6
 N_DISCRETE = 5
@@ -105,6 +107,30 @@ def test_replay_buffer_sampling_without_replacement():
         buf.insert(np.zeros(2), i, np.zeros(1), 0.0, np.zeros(2), False, 1)
     batch = buf.sample(np.random.default_rng(0), 16)
     assert len(set(batch["action_idx"].tolist())) == 16
+
+
+def test_replay_buffer_never_reads_unwritten_rows():
+    buf = ReplayBuffer(64, 3, 2)
+    for arr in (buf.states, buf.param_vecs, buf.n_reward, buf.next_states):
+        arr[:] = np.nan
+    buf.action_idx[:] = -1
+    buf.steps[:] = -1
+    k = 10
+    for i in range(k):
+        buf.insert(np.full(3, i), i, np.full(2, 0.1 * i), float(i), np.full(3, -i),
+                   i % 2 == 0, 1 + i % 3)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        batch = buf.sample(rng, 8)
+        i = batch["action_idx"]
+        assert np.all((i >= 0) & (i < k))
+        assert np.array_equal(batch["states"], np.repeat(i[:, None], 3, axis=1))
+        assert np.array_equal(batch["param_vecs"],
+                              np.repeat(0.1 * i[:, None], 2, axis=1))
+        assert np.array_equal(batch["n_reward"], i.astype(float))
+        assert np.array_equal(batch["next_states"], np.repeat(-i[:, None], 3, axis=1))
+        assert np.array_equal(batch["done"], i % 2 == 0)
+        assert np.array_equal(batch["steps"], 1 + i % 3)
 
 
 # ------------------------------------------------------------- selection
@@ -453,6 +479,129 @@ def test_unknown_actor_mode_rejected():
                              make_critic(), "bogus")
 
 
+# ------------------------------------------------------------- precision
+# The agents' networks run in float32.  Against a float64 twin holding the
+# same weights, at the reference shapes, Q values agree within 1e-5 of
+# max|Q| and every gradient and optimizer array within 1e-4 and 1e-5
+# norm-wise relative (measured: about 3e-7 throughout).
+
+REF_L = 16
+REF_HIDDEN = [128, 128]
+REF_BATCH = 32
+
+
+def twin64(net):
+    blob = net.to_blob()
+    blob["dtype"] = "float64"
+    return Mlp.from_blob(blob)
+
+
+def rel_norm(a, b):
+    return float(np.linalg.norm(np.asarray(a, float) - b) / np.linalg.norm(b))
+
+
+@pytest.fixture(scope="module")
+def reference_nets():
+    rng = np.random.default_rng(40)
+    critic = Mlp([ENV_STATE_DIM + REF_L, *REF_HIDDEN, REF_L], rng, dtype=np.float32)
+    actor = Mlp([ENV_STATE_DIM, *REF_HIDDEN, 2 * REF_L], rng, head="actor",
+                n_discrete=REF_L, dtype=np.float32)
+    batch = make_batch(np.random.default_rng(41), b=REF_BATCH,
+                       state_dim=ENV_STATE_DIM, n=REF_L)
+    return (critic, twin64(critic)), (actor, twin64(actor)), batch
+
+
+def test_float32_pass_q_within_tolerance(reference_nets):
+    (c32, c64), _, batch = reference_nets
+    x = np.random.default_rng(42).random((REF_BATCH, REF_L))
+    q32, acts32 = pass_q(c32, batch["states"], x, {})
+    q64, acts64 = pass_q(c64, batch["states"], x, {})
+    assert q32.dtype == np.float32 and q64.dtype == np.float64
+    assert np.max(np.abs(q32 - q64)) <= 1e-5 * np.max(np.abs(q64))
+    dq = np.random.default_rng(43).normal(size=(REF_BATCH, REF_L)) / REF_BATCH
+    g32 = pass_q_param_grad(c32, acts32, dq)
+    assert g32.dtype == np.float32
+    assert rel_norm(g32, pass_q_param_grad(c64, acts64, dq)) <= 1e-4
+
+
+def test_float32_critic_grads_within_tolerance(reference_nets):
+    (c32, c64), _, batch = reference_nets
+    y = np.random.default_rng(44).normal(size=REF_BATCH)
+    _, g32 = critic_loss_and_grads(batch, c32, y)
+    _, g64 = critic_loss_and_grads(batch, c64, y)
+    for a, b in zip(g32, g64):
+        assert a.dtype == np.float32
+        assert rel_norm(a, b) <= 1e-4
+
+
+@pytest.mark.parametrize("mode", ["paper_literal", "standard_pdqn"])
+def test_float32_actor_grads_within_tolerance(reference_nets, mode):
+    (c32, c64), (a32, a64), batch = reference_nets
+    _, g32 = actor_loss_and_grads(batch, a32, c32, mode, {})
+    _, g64 = actor_loss_and_grads(batch, a64, c64, mode, {})
+    for a, b in zip(g32, g64):
+        assert a.dtype == np.float32
+        assert rel_norm(a, b) <= 1e-4
+
+
+def test_float32_optimizer_step_within_tolerance(reference_nets):
+    (c32, _), _, batch = reference_nets
+    # a float64 state with live moments, then its float32 copy
+    net64 = twin64(c32)
+    opt64 = OptimizerState(1e-3)
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        optimizer_step(net64.parameters(),
+                       [rng.normal(size=p.shape) for p in net64.parameters()], opt64)
+    blob = net64.to_blob()
+    blob["dtype"] = "float32"
+    net32 = Mlp.from_blob(blob)
+    opt_blob = opt64.to_blob()
+    opt_blob["dtype"] = "float32"
+    opt32 = OptimizerState.from_blob(opt_blob)
+    grads = [rng.normal(size=p.shape).astype(np.float32) for p in net32.parameters()]
+    optimizer_step(net32.parameters(), grads, opt32)
+    optimizer_step(net64.parameters(), [g.astype(float) for g in grads], opt64)
+    for a, b in zip(net32.parameters() + opt32.m + opt32.v,
+                    net64.parameters() + opt64.m + opt64.v):
+        assert a.dtype == np.float32
+        assert rel_norm(a, b) <= 1e-5
+
+
+def nets_and_opts(agent):
+    if isinstance(agent, SidPdqnAgent):
+        return (agent.actors + agent.critics + agent.critic_targets,
+                agent.actor_opts + agent.critic_opts)
+    return [agent.q_net, agent.q_target], [agent.opt]
+
+
+def saved_arrays(agent):
+    """Every weight, bias and Adam moment of an agent, in checkpoint order."""
+    nets, opts = nets_and_opts(agent)
+    arrays = [p for net in nets for p in net.parameters()]
+    for opt in opts:
+        assert opt.m is not None, "no Adam moments: the agent never learned"
+        arrays += opt.m + opt.v
+    return arrays
+
+
+@pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
+def test_agents_keep_float32_after_training(agent_cls):
+    # a silent upcast would give back the float32 speed without failing a test
+    cfg = train_cfg()
+    agent = agent_cls(RisDownlinkEnv(cfg, seed=3), AgentConfig.from_scenario(cfg),
+                      seed=3)
+    log = agent.train(episodes=1, steps=45)
+    assert not math.isnan(log.rows[-1]["critic_loss"])
+    _, opts = nets_and_opts(agent)
+    arrays = saved_arrays(agent) + [a for opt in opts for pair in opt.scratch
+                                    for a in pair]
+    if agent_cls is SidPdqnAgent:
+        assert agent.scratch, "no pass_q scratch: the agent never learned"
+        arrays += list(agent.scratch.values())
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
 # ------------------------------------------------------------- training
 
 def train_cfg(**overrides):
@@ -524,3 +673,20 @@ def test_checkpoint_round_trip(tmp_path):
     third = SidPdqnAgent(env3, AgentConfig.from_scenario(other), seed=6)
     with pytest.raises(ValueError):
         load_checkpoint(str(path), third, other)
+
+
+@pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
+def test_checkpoint_keeps_float32_bitwise(tmp_path, agent_cls):
+    from ris_detnet.agents import load_checkpoint, save_checkpoint
+    cfg = train_cfg()
+    agent = agent_cls(RisDownlinkEnv(cfg, seed=7), AgentConfig.from_scenario(cfg),
+                      seed=7)
+    agent.train(episodes=1, steps=45)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), agent, cfg)
+    twin = agent_cls(RisDownlinkEnv(cfg, seed=7), AgentConfig.from_scenario(cfg),
+                     seed=7)
+    load_checkpoint(str(path), twin, cfg)
+    for saved, loaded in zip(saved_arrays(agent), saved_arrays(twin), strict=True):
+        assert loaded.dtype == np.float32
+        assert np.array_equal(saved, loaded)

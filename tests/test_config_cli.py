@@ -281,6 +281,23 @@ def test_cli_hostile_config_exits_cleanly(tmp_path, command, section, line):
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text,argv,key", [
+    ("[allocation]\npower = -1\n", [], "[allocation] power"),
+    ("[allocation]\ncbl = 0.5\n", [], "[allocation] cbl"),
+    ("[run]\nseed = -1\n", [], "[run] seed"),
+    ("", ["--seed", "-1"], "--seed"),
+    ("[codebook]\nphase_mode = quantized\nphase_bits = 80\n", [], "[codebook] phase_bits"),
+    ("[topology]\nelement_spacing = -1\n", [], "[topology] element_spacing"),
+], ids=["power", "cbl", "seed", "seed-flag", "phase_bits", "element_spacing"])
+def test_cli_analyze_hostile_value_is_config_error(tmp_path, capsys, text, argv, key):
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(text)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
 def test_cli_simulate_model_sampler_dominates(tmp_path):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SMALL)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,22 @@ def test_clip_global_norm():
     assert clip_global_norm(small, 10.0)[0] is small[0]
 
 
+def test_float32_net_holds_its_float64_twin_weights_rounded():
+    dims = [5, 7, 3]
+    net64 = Mlp(dims, np.random.default_rng(6))
+    net32 = Mlp(dims, np.random.default_rng(6), dtype=np.float32)
+    assert net64.dtype == np.float64 and net32.dtype == np.float32
+    for p64, p32 in zip(net64.parameters(), net32.parameters()):
+        assert np.array_equal(p64.astype(np.float32), p32)
+    x = np.random.default_rng(7).normal(size=(4, 5))
+    out, cache = net32.forward(x)
+    assert out.dtype == np.float32
+    grads, grad_in = net32.backward(cache, np.ones((4, 3)))
+    assert grad_in.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads)
+    assert net32.copy().dtype == np.float32
+
+
 # ------------------------------------------------------------- persistence
 
 def test_blob_round_trip():
@@ -241,3 +259,20 @@ def test_blob_round_trip():
     opt2 = OptimizerState.from_blob(opt.to_blob())
     assert opt2.step_count == 1
     assert np.allclose(opt2.m[0], opt.m[0])
+
+
+def test_blob_round_trip_keeps_float32_bitwise():
+    net = Mlp([3, 5, 4], np.random.default_rng(4), head="actor", n_discrete=2,
+              dtype=np.float32)
+    opt = OptimizerState(lr=0.01)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        optimizer_step(net.parameters(),
+                       [rng.normal(size=p.shape).astype(np.float32)
+                        for p in net.parameters()], opt)
+    twin = Mlp.from_blob(json.loads(json.dumps(net.to_blob())))
+    opt2 = OptimizerState.from_blob(json.loads(json.dumps(opt.to_blob())))
+    for saved, loaded in zip(net.parameters() + opt.m + opt.v,
+                             twin.parameters() + opt2.m + opt2.v):
+        assert loaded.dtype == np.float32
+        assert np.array_equal(saved, loaded)
