@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ScenarioConfig, config_hash
+from .config import ConfigError, ScenarioConfig, config_hash
 from .env import STATE_DIM, HybridAction, RisDownlinkEnv
 from .neural import Mlp, OptimizerState, clip_global_norm, optimizer_step
 
@@ -670,9 +670,17 @@ def save_checkpoint(path: str, agent, scenario: ScenarioConfig):
 
 
 def load_checkpoint(path: str, agent, scenario: ScenarioConfig | None = None):
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+    """Restore ``agent`` from a checkpoint file.  An unreadable file, one that
+    is not a JSON object, or one trained under another scenario raises
+    ConfigError; a blob the agent cannot load raises ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ConfigError(f"checkpoint {path!r} is not a JSON object")
     if scenario is not None and blob.get("config_hash") != config_hash(scenario):
-        raise ValueError("checkpoint was trained under a different config")
+        raise ConfigError("checkpoint was trained under a different config")
     agent.load_blob(blob)
     return agent

@@ -351,20 +351,6 @@ def delta_sq_closed_form(topology: Topology, fading: FadingParams, user: int) ->
     return direct + ris
 
 
-def user_snr_pdf(gamma, stats: LinkStats):
-    """Approximate density of the user SNR (sub-normalised for upsilon > 0):
-
-        f(gamma) = exp(-(gamma + rho*upsilon)/(rho*delta^2)) / (rho*delta^2)
-
-    Integrates to exp(-upsilon/delta^2) over [0, inf); the missing mass is
-    the high-SNR tail dropped by the approximation.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    scale = stats.rho * stats.delta_k_sq
-    out = np.exp(-(gamma + stats.rho * stats.upsilon_k) / scale) / scale
-    return np.where(gamma < 0, 0.0, out)
-
-
 def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
                           rng: np.random.Generator, n_draws: int = 2000) -> float:
     """Mean simulated Eve SNR under random phase configs; 1/lambda_Eve.

@@ -248,10 +248,11 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(cfg)
     manifest_path = os.path.join(outdir, "sweep_manifest.json")
     results = [None] * len(payloads)
-    completed = []
 
-    def note(i):
-        completed.append({"value": payloads[i][2], "rep": payloads[i][3]})
+    def note():
+        """Rewrite the manifest: the finished points, in payload order."""
+        completed = [{"value": p[2], "rep": p[3]}
+                     for p, r in zip(payloads, results) if r is not None]
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump({"param": args.param, "mode": args.mode,
                        "completed": completed}, fh, indent=1)
@@ -259,14 +260,14 @@ def cmd_sweep(args) -> int:
     if workers <= 1 or len(payloads) == 1:
         for i, payload in enumerate(payloads):
             results[i] = _sweep_point(payload)
-            note(i)
+            note()
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_point, p): i for i, p in enumerate(payloads)}
             for fut in concurrent.futures.as_completed(futures):
                 i = futures[fut]
                 results[i] = fut.result()
-                note(i)
+                note()
 
     columns = ["param", "value", "rep", "seed", "metric"]
     rows = [{c: r[c] for c in columns} for r in results]

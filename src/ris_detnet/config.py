@@ -72,6 +72,7 @@ def _choice(*options):
         if t not in options:
             raise ValueError(f"expected one of {options}, got {text!r}")
         return t
+    parse.options = options
     return parse
 
 
@@ -271,6 +272,13 @@ _COUNTS = (("topology", "n_users"), ("budget", "n_max"),
            ("agent", "n_step"), ("agent", "batch_size"), ("agent", "buffer_capacity"),
            ("agent", "target_sync"), ("agent", "episodes"), ("agent", "cbl_levels"),
            ("agent", "eval_episodes"))
+# upper bounds on the counts that size arrays (RIS elements, codebook grids),
+# checked before the model objects allocate anything
+_COUNT_CAPS = {("topology", "n_elements"): 4096,
+               ("codebook", "n_power_levels"): 1024,
+               ("codebook", "n_codewords"): 1024}
+# noise powers past this many dBm either way overflow or underflow in watts
+_NOISE_DBM_CAP = 300.0
 
 
 def _validate(cfg: ScenarioConfig):
@@ -284,6 +292,12 @@ def _validate(cfg: ScenarioConfig):
     for section, key in _COUNTS:
         if values[section][key] < 1:
             raise ConfigError(f"[{section}] {key} must be >= 1")
+    for (section, key), cap in _COUNT_CAPS.items():
+        if values[section][key] > cap:
+            raise ConfigError(f"[{section}] {key} must be <= {cap}")
+    if abs(values["fading"]["noise_power_dbm"]) > _NOISE_DBM_CAP:
+        raise ConfigError(f"[fading] noise_power_dbm must be within "
+                          f"+-{_NOISE_DBM_CAP:g} dBm")
     if values["topology"]["user_radius"] <= 0:
         raise ConfigError("[topology] user_radius must be positive")
     user_at_eve = values["topology"]["eve_pos"]
@@ -350,8 +364,12 @@ def load_config_text(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    return load_config_text(text)
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

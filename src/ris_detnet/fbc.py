@@ -11,6 +11,7 @@ secure transmission in that slot).  Qinv comes from the standard library's
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -24,8 +25,7 @@ _STD = NormalDist()
 class SecrecyParams:
     """Decoding error rate, leakage probability and blocklength.
 
-    The blocklength is kept continuous (it is an RL control); round for
-    reporting only.
+    The blocklength is kept continuous (it is an RL control).
     """
 
     epsilon_e: float = 2e-6
@@ -41,8 +41,15 @@ class SecrecyParams:
             raise ValueError("blocklength must be >= 1")
 
     @property
-    def blocklength_int(self) -> int:
-        return max(1, int(round(self.blocklength)))
+    def pen_u(self) -> float:
+        """Decoding-error penalty Qinv(eps_e)/sqrt(n), in nats per channel use,
+        with the user dispersion taken as 1 (the analysed service model)."""
+        return q_inv(self.epsilon_e) / math.sqrt(self.blocklength)
+
+    def pen_e(self, gamma_e):
+        """Leakage penalty sqrt(V_e/n)*Qinv(sigma) at Eve's SNR gamma_e, in
+        nats per channel use."""
+        return np.sqrt(dispersion(gamma_e) / self.blocklength) * q_inv(self.sigma_leak)
 
 
 def q_inv(p: float) -> float:
@@ -65,22 +72,14 @@ def secrecy_capacity(gamma_user, gamma_eve):
     return np.log2(1.0 + gu) - np.log2(1.0 + ge)
 
 
-def fbc_secrecy_rate(gamma_user, gamma_eve, params: SecrecyParams,
-                     dispersion_mode: str = "exact"):
-    """Secrecy rate in bits per channel use, clamped below at 0.
-
-    dispersion_mode="user_approx_one" replaces the user dispersion V_k by 1
-    (valid above ~5 dB); the Eve dispersion is always exact.
-    """
-    if dispersion_mode not in ("exact", "user_approx_one"):
-        raise ValueError(f"unknown dispersion_mode: {dispersion_mode}")
+def fbc_secrecy_rate(gamma_user, gamma_eve, params: SecrecyParams):
+    """Secrecy rate in bits per channel use, clamped below at 0, with the
+    exact user and Eve dispersions."""
     gu = np.asarray(gamma_user, dtype=float)
     ge = np.asarray(gamma_eve, dtype=float)
     n = params.blocklength
-    v_user = np.ones_like(gu) if dispersion_mode == "user_approx_one" else dispersion(gu)
-    v_eve = dispersion(ge)
     rate = (secrecy_capacity(gu, ge)
-            - np.sqrt(v_user / n) * q_inv(params.epsilon_e) * LOG2E
-            - np.sqrt(v_eve / n) * q_inv(params.sigma_leak) * LOG2E)
+            - np.sqrt(dispersion(gu) / n) * q_inv(params.epsilon_e) * LOG2E
+            - params.pen_e(ge) * LOG2E)
     out = np.maximum(rate, 0.0)
     return float(out) if out.ndim == 0 else out

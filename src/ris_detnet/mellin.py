@@ -257,9 +257,7 @@ class _HTensors:
         multipliers become fixed sub-unit upper limits."""
         lam_e = stats.lambda_eve
         m = stats.rho * stats.delta_k_sq
-        n_cbl = secrecy.blocklength
-        pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
-        qinv_sigma = q_inv(secrecy.sigma_leak)
+        pen_u = secrecy.pen_u
 
         q_hi = -math.expm1(-OUTER_TRUNCATION_MULT)
         p_hi = -math.expm1(-INNER_TRUNCATION_MULT)
@@ -268,8 +266,7 @@ class _HTensors:
         xi, wi = xq * p_hi, wq * p_hi
 
         gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
-        v_eve = 1.0 - 1.0 / (1.0 + gamma_e) ** 2
-        pen_e = np.sqrt(v_eve / n_cbl) * qinv_sigma
+        pen_e = secrecy.pen_e(gamma_e)
         gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
         log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
         slope = log_ratio + (pen_e + pen_u)[:, None]
@@ -309,9 +306,8 @@ def _h_tail_bound(s, stats, secrecy):
     a = s / LN2
     m = stats.rho * stats.delta_k_sq
     lam_e = stats.lambda_eve
-    pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(secrecy.blocklength)
     pen_e_max = max(0.0, q_inv(secrecy.sigma_leak)) / math.sqrt(secrecy.blocklength)
-    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * (pen_u + pen_e_max))
+    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * (secrecy.pen_u + pen_e_max))
     # (1+g_e)^a * (1+g_k)^-a <= 1 on the wedge, so the outer tail integrand
     # is dominated by lam_e*exp(-(lam_e + 1/m)*gamma_e)
     expo = -OUTER_TRUNCATION_MULT * (1.0 + 1.0 / (m * lam_e))
@@ -361,18 +357,10 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     return entry[:2]
 
 
-def service_mellin(s_arg: float, model: ServiceModel) -> float:
-    """Mellin transform of the service process at argument s_arg:
-
-        M_psi(s_arg) = (1 - eps_e) * M_u(1 + (s_arg-1)/ln2) + eps_e
-
-    which for s_arg = 1 - s equals (1 - eps_e)*H(s) + eps_e.  At s_arg = 1
-    the value is (1 - eps_e)*M_u(1) + eps_e with M_u(1) the wedge mass.
-    """
+def _service_transform(s: float, model: ServiceModel) -> float:
+    """M_psi(1-s) = (1 - eps_e) * H(s) + eps_e: decode failures serve 0 bits."""
     eps = model.secrecy.epsilon_e
-    if eps >= 1.0:
-        return 1.0
-    return (1.0 - eps) * service_mellin_u(1.0 - s_arg, model) + eps
+    return (1.0 - eps) * service_mellin_u(s, model) + eps
 
 
 def kernel_from_values(m_arrival: float, m_service: float, horizon: int) -> float:
@@ -389,7 +377,7 @@ def kernel(s: float, horizon: int, arrival: ArrivalModel,
            service: ServiceModel) -> float:
     """K(s, T) = [M_psi(1-s)]^T / (1 - M_zeta(1+s)*M_psi(1-s))."""
     m_arr = arrival_mellin(1.0 + s, arrival)
-    m_srv = service_mellin(1.0 - s, service)
+    m_srv = _service_transform(s, service)
     try:
         return kernel_from_values(m_arr, m_srv, horizon)
     except StabilityError as exc:
@@ -417,7 +405,7 @@ def stability_product(s: float, arrival: ArrivalModel, service: ServiceModel) ->
     m_arr = arrival_mellin(1.0 + s, arrival)
     if math.isinf(m_arr):
         return math.inf
-    return m_arr * service_mellin(1.0 - s, service)
+    return m_arr * _service_transform(s, service)
 
 
 def _transforms(s: float, arrival: ArrivalModel, service: ServiceModel):
@@ -428,9 +416,8 @@ def _transforms(s: float, arrival: ArrivalModel, service: ServiceModel):
     rate, scale = _arrival_exponent(arrival)
     d_arr = math.inf if rate * s > 700.0 else scale * rate * math.exp(rate * s)
     eps = service.secrecy.epsilon_e
-    h, _ = service_mellin_u_with_error(s, service)
+    m_srv = _service_transform(s, service)
     _, _, dh, ddh = service._h_cache[s]
-    m_srv = (1.0 - eps) * h + eps
     d_srv = (1.0 - eps) * dh / m_srv
     return (m_arr, m_srv, (d_arr, rate * d_arr),
             (d_srv, (1.0 - eps) * ddh / m_srv - d_srv * d_srv))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkStats
-from .fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_inv
+from .fbc import SecrecyParams, fbc_secrecy_rate
 from .mellin import ArrivalModel
 
 FLUSH_BITS = 1e30   # stands in for an infinite-service slot
@@ -47,8 +47,7 @@ class QueueResult:
 
     ``delays`` is the virtual delay W (0 = fully served within the arrival
     slot; inf = not departed within the horizon) — the quantity the kernel
-    bound controls at matching horizon.  ``sojourns`` is the slots-in-system
-    view W + 1.
+    bound controls at matching horizon.
     """
 
     delays: np.ndarray
@@ -58,10 +57,6 @@ class QueueResult:
     @property
     def n_packets(self) -> int:
         return self.delays.size
-
-    @property
-    def sojourns(self) -> np.ndarray:
-        return self.delays + 1.0
 
     def tail_prob(self, t: float):
         """(p_hat, half_width) for Pr{W > t} with a 95% normal CI."""
@@ -81,13 +76,6 @@ class QueueResult:
         p = float(np.mean(hit))
         half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
         return p, half
-
-    def empirical_cdf(self):
-        """Sorted (w, F(w)) points over the finite delays."""
-        fin = np.sort(self.delays[np.isfinite(self.delays)])
-        if fin.size == 0:
-            return np.empty(0), np.empty(0)
-        return fin, np.arange(1, fin.size + 1) / self.n_packets
 
 
 def _blocks(n_slots: int):
@@ -170,31 +158,13 @@ def _rice_parts(stats: LinkStats, rng: np.random.Generator, size: int):
     return rng.normal(los, sd, size), rng.normal(0.0, sd, size)
 
 
-def sample_user_snr(stats: LinkStats, rng: np.random.Generator, size: int,
-                    model: str = "rice") -> np.ndarray:
-    """Per-slot user SNR draws.
-
-    "rice": the exact power of a complex Gaussian around the LoS mean
-    (what the sub-normalised analytic density approximates);
-    "exponential": the normalised analytic density itself.
-    """
-    if model == "exponential":
-        return rng.exponential(stats.rho * stats.delta_k_sq, size)
-    if model == "rice":
-        re, im = _rice_parts(stats, rng, size)
-        return re ** 2 + im ** 2
-    raise ValueError(f"unknown SNR model: {model}")
-
-
-def fbc_service_sampler(stats: LinkStats, secrecy: SecrecyParams,
-                        per_channel_use: bool = False):
+def fbc_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
     """Physical per-slot service: n_k * R(gamma_k, gamma_e) on success, else 0.
 
     SNRs are drawn independently per slot (block fading), the user SNR from
-    the Rician model; the rate uses the exact dispersion.  With per_channel_use=True the blocklength
-    multiplier is dropped, i.e. the slot serves R bits.
+    the Rician model; the rate uses the exact dispersion.
     """
-    n_mult = 1.0 if per_channel_use else float(secrecy.blocklength)
+    n_mult = float(secrecy.blocklength)
 
     def sampler(rng: np.random.Generator, n_slots: int) -> np.ndarray:
         gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
@@ -218,9 +188,7 @@ def model_matched_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
     "infinite service" mass.  Decode failures serve 0 bits.  Against this
     sampler the kernel bound is a sharp (theory-exact) upper bound.
     """
-    n_cbl = secrecy.blocklength
-    pen_u = q_inv(secrecy.epsilon_e) / math.sqrt(n_cbl)
-    qinv_sigma = q_inv(secrecy.sigma_leak)
+    pen_u = secrecy.pen_u
     finite_mass = math.exp(-stats.upsilon_k / stats.delta_k_sq)
     scale = stats.rho * stats.delta_k_sq
 
@@ -232,9 +200,8 @@ def model_matched_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
         for sl in _blocks(n_slots):     # each block overwrites the gamma_e it used
             ge, gk = gamma_e[sl], gamma_k[sl]
             wedge = (u_finite[sl] < finite_mass) & (gk >= ge)
-            pen_e = np.sqrt(dispersion(ge) / n_cbl) * qinv_sigma
             log2_u = (np.log2(1.0 + gk) - np.log2(1.0 + ge)
-                      - (pen_u + pen_e) / math.log(2.0))
+                      - (pen_u + secrecy.pen_e(ge)) / math.log(2.0))
             bits = np.where(wedge, log2_u, FLUSH_BITS)
             gamma_e[sl] = bits * (u_success[sl] >= secrecy.epsilon_e)
         return gamma_e

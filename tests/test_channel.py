@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
                                 Topology, composite_gain, delta_sq_closed_form,
                                 estimate_eve_mean_snr, los_components, path_loss,
-                                sample_channels, snr, steering_vector,
-                                user_snr_pdf)
+                                sample_channels, snr, steering_vector)
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
 
@@ -278,23 +276,6 @@ def test_link_stats_fields():
     g_los, f_los, _ = los_components(env.topology, env.fading)
     want_ups = abs(np.vdot(f_los[1], theta.coefficients * g_los)) ** 2
     assert stats.upsilon_k == pytest.approx(want_ups, rel=1e-12)
-
-
-# ---------------------------------------------------------------- snr pdf
-
-def test_user_snr_pdf_normalises_without_los():
-    stats = LinkStats(delta_k_sq=2.0, upsilon_k=0.0, rho=3.0, lambda_eve=1.0)
-    mass, _ = quad(lambda g: user_snr_pdf(g, stats), 0, np.inf)
-    assert mass == pytest.approx(1.0, rel=1e-9)
-    assert user_snr_pdf(0.0, LinkStats(1.0, 0.0, 1.0, 1.0)) == pytest.approx(1.0)
-
-
-def test_user_snr_pdf_subnormalised_mass():
-    # quadrature oracle: with upsilon > 0 the density integrates to
-    # exp(-upsilon/delta^2) (the high-SNR approximation drops mass)
-    stats = LinkStats(delta_k_sq=1.5, upsilon_k=0.9, rho=2.0, lambda_eve=1.0)
-    mass, _ = quad(lambda g: user_snr_pdf(g, stats), 0, np.inf)
-    assert mass == pytest.approx(np.exp(-0.9 / 1.5), rel=1e-9)
 
 
 def test_topology_validation():

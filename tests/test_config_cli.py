@@ -1,15 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_detnet import config as config_module
@@ -262,11 +266,23 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
-def run_cli(argv):
+# the CLI under an address-space cap of sys.argv[1] bytes
+CAPPED_CLI = """
+import resource, runpy, sys
+cap = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+runpy.run_module("ris_detnet", run_name="__main__")
+"""
+
+
+def run_cli(argv, address_cap=None):
+    """The CLI in a child process, optionally with a capped address space."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "ris_detnet", *argv], env=env,
+    head = (["-m", "ris_detnet"] if address_cap is None
+            else ["-c", CAPPED_CLI, str(address_cap)])
+    return subprocess.run([sys.executable, *head, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -296,6 +312,98 @@ def test_cli_analyze_hostile_value_is_config_error(tmp_path, capsys, text, argv,
                  *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+
+
+# one key at a boundary value on a tiny scenario: analyze exits 0 with finite
+# cells (s_max may be infinite only for a vacuous bound) or 1 with a config
+# error; a huge value runs only in a child process with a 1 GiB address space
+TINY = {"topology": {"n_users": "1", "n_elements": "4"}}
+HUGE = "1e12"
+BOUNDARY_CASES = [(section, key, value)
+                  for section, keys in SCHEMA.items()
+                  for key, (parser, _) in keys.items()
+                  for value in ("0", "-1", "0.5", HUGE) + getattr(parser, "options", ())]
+
+
+def one_key_scenario(section, key, value):
+    sections = {s: dict(kv) for s, kv in TINY.items()}
+    pair = SCHEMA[section][key][0] is config_module._parse_pair
+    sections.setdefault(section, {})[key] = f"{value} {value}" if pair else value
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for s, kv in sections.items())
+
+
+def run_analyze(cfg_path, out, in_child):
+    argv = ["analyze", "--config", str(cfg_path), "--out", str(out)]
+    if in_child:
+        proc = run_cli(argv, address_cap=1 << 30)
+        return proc.returncode, proc.stderr
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(BOUNDARY_CASES))
+@example(case=("fading", "noise_power_dbm", HUGE))
+@example(case=("topology", "n_elements", HUGE))
+@example(case=("codebook", "n_power_levels", HUGE))
+@example(case=("codebook", "n_codewords", HUGE))
+def test_cli_analyze_one_key_boundary_value_exits_cleanly(case):
+    section, key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "s.cfg"
+        cfg_path.write_text(one_key_scenario(section, key, value))
+        code, err = run_analyze(cfg_path, Path(tmp) / "o", in_child=value == HUGE)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("config error")
+            return
+        assert code == 0, err
+        lines = (Path(tmp) / "o" / "analyze.csv").read_text().splitlines()[2:]
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        for col in ("varpi", "bound_tmin", "bound_tmax", "s_star_tmin", "s_star_tmax",
+                    "quadrature_error_estimate"):
+            assert math.isfinite(float(row[col])), (col, row)
+        assert math.isfinite(float(row["s_max"])) or "vacuous" in row["clamped_flags"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "{tmp}/missing.cfg"],
+    ["evaluate", "--config", "{small}", "--checkpoint", "{tmp}/missing.json"],
+    ["evaluate", "--config", "{small}", "--checkpoint", "{tmp}/garbled.json"],
+    ["evaluate", "--config", "{small}", "--checkpoint", "{tmp}/list.json"],
+    ["evaluate", "--config", "{small}", "--checkpoint", "{tmp}/other.json"],
+], ids=["missing-config", "missing-checkpoint", "non-json-checkpoint",
+        "non-object-checkpoint", "other-config-checkpoint"])
+def test_cli_input_file_mistake_is_config_error(tmp_path, capsys, argv):
+    small = tmp_path / "s.cfg"
+    small.write_text(SMALL)
+    (tmp_path / "garbled.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "other.json").write_text(json.dumps({"config_hash": "0" * 16}))
+    argv = [a.format(tmp=tmp_path, small=small) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+
+
+def test_cli_sweep_manifest_in_payload_order(tmp_path):
+    # the first point is the slowest (4096 RIS elements), so two workers
+    # finish the other two first
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace("[run]\n", "[run]\nworkers = 2\n"))
+    manifests = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--param", "topology.n_elements", "--values", "4096,1,2"]) == 0
+        manifests.append((out / "sweep_manifest.json").read_bytes())
+    assert json.loads(manifests[0])["completed"] == [
+        {"value": v, "rep": 0} for v in ("4096", "1", "2")]
+    assert manifests[0] == manifests[1]
 
 
 def test_cli_simulate_model_sampler_dominates(tmp_path):

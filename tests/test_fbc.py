@@ -128,19 +128,20 @@ def test_rate_monotone_in_snrs():
     assert all(b <= a + 1e-12 for a, b in zip(r_dn, r_dn[1:]))
 
 
-def test_dispersion_mode_gap_bound():
-    # |rate_exact - rate_approx| <= (1 - sqrt(V_k))/sqrt(n) * Qinv(eps) * log2(e),
-    # and the gap shrinks as the user SNR grows past ~5 dB
+def test_penalties_and_rate_follow_the_normal_approximation():
+    # pen_u takes the user dispersion as 1; the rate keeps the exact one
     params = SecrecyParams(epsilon_e=2e-6, sigma_leak=1e-3, blocklength=256)
-    gaps = []
+    assert params.pen_u == q_inv(2e-6) / 16.0
+    ge = np.array([0.0, 0.2, 3.0, 1e4])
+    pen_e = params.pen_e(ge)
+    assert pen_e[0] == 0.0
+    np.testing.assert_allclose(pen_e, np.sqrt(dispersion(ge)) / 16.0 * q_inv(1e-3),
+                               rtol=1e-14)
     for gu in (3.16, 10.0, 100.0):
-        exact = fbc_secrecy_rate(gu, 0.2, params, "exact")
-        approx = fbc_secrecy_rate(gu, 0.2, params, "user_approx_one")
-        gap = abs(exact - approx)
-        limit = (1 - math.sqrt(dispersion(gu))) / math.sqrt(256) * q_inv(2e-6) * LOG2E
-        assert gap <= limit + 1e-12
-        gaps.append(gap)
-    assert gaps[0] >= gaps[1] >= gaps[2]
+        want = (secrecy_capacity(gu, 0.2)
+                - (math.sqrt(dispersion(gu)) * q_inv(2e-6)
+                   + math.sqrt(dispersion(0.2)) * q_inv(1e-3)) / 16.0 * LOG2E)
+        assert fbc_secrecy_rate(gu, 0.2, params) == pytest.approx(want, rel=1e-12)
 
 
 def test_secrecy_params_validation():
@@ -150,4 +151,3 @@ def test_secrecy_params_validation():
         SecrecyParams(sigma_leak=1.0)
     with pytest.raises(ValueError):
         SecrecyParams(blocklength=0.5)
-    assert SecrecyParams(blocklength=127.6).blocklength_int == 128

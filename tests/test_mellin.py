@@ -15,7 +15,7 @@ from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
                                ServiceModel, StabilityError,
                                arrival_mellin, delay_determinacy, kernel,
                                kernel_from_values, lemma1_kernel,
-                               service_mellin, service_mellin_u,
+                               service_mellin_u,
                                service_mellin_u_with_error, stability_product,
                                stability_smax, violation_bound)
 
@@ -243,14 +243,14 @@ def test_determinacy_releases_h_tensors(monkeypatch):
 
 def test_service_mellin_degenerate_failure_rate():
     svc = ServiceModel(make_stats(), SecrecyParams(1 - 1e-15, 1e-3, 64))
-    for s_arg in (0.2, 0.7, 1.0):
-        assert service_mellin(s_arg, svc) == pytest.approx(1.0, abs=1e-12)
+    for s in (0.8, 0.3, 0.0):
+        assert mellin._service_transform(s, svc) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_service_mellin_zero_failure_rate():
     svc = ServiceModel(make_stats(), SecrecyParams(1e-300, 1e-3, 64))
     s = 0.4
-    assert service_mellin(1 - s, svc) == pytest.approx(
+    assert mellin._service_transform(s, svc) == pytest.approx(
         service_mellin_u(s, svc), rel=1e-12)
 
 
@@ -260,7 +260,7 @@ def test_service_mellin_equals_lemma_bracket():
         svc = make_service(blocklength=n)
         eps = svc.secrecy.epsilon_e
         bracket = (1 - eps) * service_mellin_u(s, svc) + eps
-        assert service_mellin(1.0 - s, svc) == pytest.approx(bracket, rel=1e-12)
+        assert mellin._service_transform(s, svc) == pytest.approx(bracket, rel=1e-12)
 
 
 # ------------------------------------------------------------- kernel
@@ -305,6 +305,24 @@ def test_stability_smax_bisection_width():
     assert s_max is not None
     assert stability_product(s_max, ARRIVAL, svc) < 1.0
     assert stability_product(s_max + 1e-6, ARRIVAL, svc) >= 1.0 - 1e-9
+
+
+def test_kernel_and_product_reuse_the_search_transforms():
+    # kernel, stability_product and the searches all evaluate H at s itself,
+    # so at the search's own points they add no H and return its values
+    svc = make_service()
+    s_max = stability_smax(ARRIVAL, svc)
+    cached = list(svc._h_cache)
+    m_arr, m_srv, _, _ = mellin._transforms(s_max, ARRIVAL, svc)
+    assert stability_product(s_max, ARRIVAL, svc) == m_arr * m_srv
+    for s in cached:
+        k, _, _ = mellin._log_kernel_probe(s, 8, ARRIVAL, svc)
+        if math.isfinite(k):
+            assert kernel(s, 8, ARRIVAL, svc) == k
+        else:
+            with pytest.raises(StabilityError):
+                kernel(s, 8, ARRIVAL, svc)
+    assert list(svc._h_cache) == cached
 
 
 def test_violation_bound_horizon_zero_is_one():
