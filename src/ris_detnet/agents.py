@@ -491,9 +491,9 @@ class Agent:
 
     def load_blob(self, blob: dict):
         if blob.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint version mismatch: {blob.get('version')}")
+            raise ConfigError(f"checkpoint version mismatch: {blob.get('version')}")
         if blob.get("algo") != self.algo:
-            raise ValueError(f"checkpoint algo mismatch: {blob.get('algo')}")
+            raise ConfigError(f"checkpoint algo mismatch: {blob.get('algo')}")
         self._load_nets(blob)
         self.rng.bit_generator.state = blob["rng_state"]
         self.global_step = blob["global_step"]
@@ -671,8 +671,8 @@ def save_checkpoint(path: str, agent, scenario: ScenarioConfig):
 
 def load_checkpoint(path: str, agent, scenario: ScenarioConfig | None = None):
     """Restore ``agent`` from a checkpoint file.  An unreadable file, one that
-    is not a JSON object, or one trained under another scenario raises
-    ConfigError; a blob the agent cannot load raises ValueError."""
+    is not a JSON object, one trained under another scenario, or one of
+    another checkpoint version or algo raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)

@@ -277,15 +277,16 @@ def _eve_normal_layout(n_elements: int, n_users: int):
 
 def _ris_eve_links(topology: Topology, fading: FadingParams, cn_g, cn_e):
     """g_ris, f_eve and h_direct_eve from their unit complex normals: cn_g
-    for AP->RIS, cn_e for RIS->Eve followed by the direct Eve scalar."""
+    for AP->RIS, cn_e for RIS->Eve followed by the direct Eve scalar.  A
+    leading axis of draws, if any, carries through to every output."""
     g_steer, _, eve_steer = topology.steering
     n_el = topology.n_elements
     pl_r = path_loss(topology.dist_ap_ris, fading.alpha_ris, fading.pl0_db)
     g_ris = _rician_vector(cn_g, g_steer, pl_r, fading.rician_k_r)
     pl_fe = path_loss(topology.dist_ris_eve, fading.alpha_ris, fading.pl0_db)
-    f_eve = _rician_vector(cn_e[:n_el], eve_steer, pl_fe, fading.rician_k_gk)
+    f_eve = _rician_vector(cn_e[..., :n_el], eve_steer, pl_fe, fading.rician_k_gk)
     pl_de = path_loss(topology.dist_ap_eve, fading.alpha_direct, fading.pl0_db)
-    return g_ris, f_eve, complex(np.sqrt(pl_de) * cn_e[n_el])
+    return g_ris, f_eve, np.sqrt(pl_de) * cn_e[..., n_el]
 
 
 def sample_channels(topology: Topology, fading: FadingParams,
@@ -313,7 +314,7 @@ def sample_channels(topology: Topology, fading: FadingParams,
         pos += 1 + n_el
 
     g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el], cn[pos:])
-    return ChannelRealization(h_direct, g_ris, f_user, f_eve, h_direct_eve)
+    return ChannelRealization(h_direct, g_ris, f_user, f_eve, complex(h_direct_eve))
 
 
 def composite_gain(h: complex, f: np.ndarray, theta: PhaseShiftConfig,
@@ -357,18 +358,26 @@ def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
 
     Each draw takes a realization's normals and then a random phase config
     from the stream, as ``sample_channels`` and a uniform draw would, but
-    builds only the links that reach Eve.
+    builds only the links that reach Eve, for all draws at once.  The
+    per-draw dot products run on C-contiguous rows and the SNRs are summed
+    in draw order, so the mean is that of a per-draw loop bit for bit.
     """
     noise = fading.noise_power_watts
     n_el = topology.n_elements
     re, im, total = _eve_normal_layout(n_el, topology.n_users)
+    z = np.empty((n_draws, total))
+    phases = np.empty((n_draws, n_el))
+    for i in range(n_draws):
+        rng.standard_normal(out=z[i])
+        phases[i] = rng.uniform(0.0, 2 * np.pi, n_el)
+    cn = (z[:, re] + 1j * z[:, im]) / np.sqrt(2.0)
+    g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:, :n_el],
+                                                cn[:, n_el:])
+    coeff = PhaseShiftConfig(phases).coefficients.reshape(phases.shape)
+    reflected = np.ascontiguousarray(coeff * g_ris)
+    f_eve = np.ascontiguousarray(f_eve)
     acc = 0.0
-    for _ in range(n_draws):
-        z = rng.standard_normal(total)
-        cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
-        g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el],
-                                                    cn[n_el:])
-        theta = PhaseShiftConfig(rng.uniform(0.0, 2 * np.pi, n_el))
-        gain = composite_gain(h_direct_eve, f_eve, theta, g_ris)
+    for i in range(n_draws):
+        gain = complex(h_direct_eve[i] + np.vdot(f_eve[i], reflected[i]))
         acc += snr(gain, p_tx, noise)
     return acc / n_draws

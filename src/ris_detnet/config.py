@@ -272,9 +272,10 @@ _COUNTS = (("topology", "n_users"), ("budget", "n_max"),
            ("agent", "n_step"), ("agent", "batch_size"), ("agent", "buffer_capacity"),
            ("agent", "target_sync"), ("agent", "episodes"), ("agent", "cbl_levels"),
            ("agent", "eval_episodes"))
-# upper bounds on the counts that size arrays (RIS elements, codebook grids),
-# checked before the model objects allocate anything
-_COUNT_CAPS = {("topology", "n_elements"): 4096,
+# upper bounds on the counts that size arrays (users, RIS elements, codebook
+# grids), checked before the model objects allocate anything
+_COUNT_CAPS = {("topology", "n_users"): 1024,
+               ("topology", "n_elements"): 4096,
                ("codebook", "n_power_levels"): 1024,
                ("codebook", "n_codewords"): 1024}
 # noise powers past this many dBm either way overflow or underflow in watts

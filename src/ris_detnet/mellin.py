@@ -11,12 +11,12 @@ determinacy is the difference of the two clamped kernel infima.
 The service transform reduces to the double integral H(s) over the Eve and
 user SNR densities; it is evaluated by tensor-product Gauss-Legendre
 quadrature after substituting both variables onto the unit interval, with
-order doubling until the requested tolerance is met.  The same exp tensor
-gives dH/ds and d^2H/ds^2, which steer the searches below.  Only that exp
-tensor depends on s: each ServiceModel builds the rest once per order it
-reaches and keeps it (2 * order^2 floats per order) until its determinacy
-is done, so a new s costs one exp and three matrix-vector products per
-order.
+order doubling until the requested tolerance is met.  Only the exp tensor
+depends on s: each ServiceModel builds the rest once per order it reaches
+and keeps it until its determinacy is done, so each rung of the doubling
+costs one exp and one matrix-vector pair.  dH/ds and d^2H/ds^2, which steer
+the searches below, weight the exp tensor of the accepted rung by the
+slope of the log integrand, once per s and only at that rung.
 
 log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
 log-moment-generating function, the log product
@@ -163,9 +163,10 @@ class ServiceModel:
     searches at several horizons reuse the expensive quadrature.  Each entry
     is (H, error estimate, dH/ds, d^2H/ds^2).  ``_h_tensors`` keeps the
     s-independent quadrature tensors of each order reached, keyed by order:
-    2 * order^2 floats per order (256 KiB at order 128), freed with the
-    model or when ``delay_determinacy`` returns, so that a caller who keeps
-    models keeps only their H values.
+    2 * order^2 floats per order (256 KiB at order 128), 3 * order^2 at an
+    order that has been accepted, freed with the model or when
+    ``delay_determinacy`` returns, so that a caller who keeps models keeps
+    only their H values.
     """
 
     stats: LinkStats
@@ -237,17 +238,21 @@ class _HTensors:
 
     The log integrand of H is a * log_ratio + a * pen_e - gamma_e / m plus
     the constant a * pen_u - upsilon/delta^2, so only the exp depends on s.
-    log_ratio and slope are (order, order); the rest are vectors.
+    log_ratio, work and slope are (order, order); the rest are vectors.
+    ``work`` holds the exp tensor of the last ``h`` call, which
+    ``derivatives`` reads.  ``slope`` is built by the first ``derivatives``
+    call, so an order the doubling never accepts never pays for it.
     """
 
     wo: np.ndarray              # outer weights
     wi: np.ndarray              # inner weights
     log_ratio: np.ndarray       # log1p(gamma_e) - log1p(gamma_k)
-    slope: np.ndarray           # ln2 * d/ds of the log integrand
+    work: np.ndarray            # the exp tensor of the last h(a)
     pen_e: np.ndarray
     decay: np.ndarray           # gamma_e / m
     pen_u: float
     los_log: float              # -upsilon/delta^2
+    slope: np.ndarray | None = None  # ln2 * d/ds of the log integrand
 
     @classmethod
     def build(cls, stats, secrecy, order):
@@ -268,36 +273,49 @@ class _HTensors:
         gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
         pen_e = secrecy.pen_e(gamma_e)
         gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
-        log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k)
-        slope = log_ratio + (pen_e + pen_u)[:, None]
-        return cls(wo, wi, log_ratio, slope, pen_e, gamma_e / m, pen_u,
+        # log1p(gamma_k) in place: gamma_k becomes the work buffer
+        log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k, out=gamma_k)
+        return cls(wo, wi, log_ratio, gamma_k, pen_e, gamma_e / m, pen_u,
                    -stats.upsilon_k / stats.delta_k_sq)
+
+    def h(self, a):
+        """H at a = s/ln2: one exp tensor, left in ``work``, and one
+        matrix-vector pair."""
+        weight = np.multiply(a, self.log_ratio, out=self.work)
+        weight += (a * self.pen_e - self.decay)[:, None]
+        np.exp(weight, out=weight)
+        return math.exp(self.los_log + a * self.pen_u) * float(self.wo @ (weight @ self.wi))
+
+    def derivatives(self, a):
+        """(dH/ds, d^2H/ds^2) at the a of the last ``h`` call.
+
+        The log integrand is linear in s with slope
+        (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2, so the
+        derivatives weight the exp tensor in ``work`` by that slope, once
+        and twice; ``work`` is overwritten.
+        """
+        if self.slope is None:
+            self.slope = self.log_ratio + (self.pen_e + self.pen_u)[:, None]
+        prefac = math.exp(self.los_log + a * self.pen_u)
+        sloped = np.multiply(self.work, self.slope, out=self.work)
+        d1 = prefac * float(self.wo @ (sloped @ self.wi)) / LN2
+        sloped *= self.slope
+        return d1, prefac * float(self.wo @ (sloped @ self.wi)) / (LN2 * LN2)
 
 
 def _h_eval(s, model, order):
-    """Fixed-order tensor evaluation of H(s), dH/ds and d^2H/ds^2.
+    """Fixed-order tensor evaluation of H(s); returns (H, the order's
+    ``_HTensors``), whose ``derivatives(s / LN2)`` then gives dH/ds and
+    d^2H/ds^2 at this s.
 
     The s-independent tensors come from ``model._h_tensors``, built on the
-    first call at each order (see ``_HTensors``).  Per s this costs one exp
-    tensor and three matrix-vector products, in two order x order buffers.
-    The log integrand is linear in s with slope
-    (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2, so the derivatives
-    weight the same exp tensor by that slope.
+    first call at each order (see ``_HTensors``).
     """
     t = model._h_tensors.get(order)
     if t is None:
         t = model._h_tensors[order] = _HTensors.build(model.stats, model.secrecy,
                                                       order)
-    a = s / LN2
-    weight = np.multiply(a, t.log_ratio)
-    weight += (a * t.pen_e - t.decay)[:, None]
-    np.exp(weight, out=weight)
-    sloped = np.multiply(weight, t.slope)
-    prefac = math.exp(t.los_log + a * t.pen_u)
-    h = prefac * float(t.wo @ (weight @ t.wi))
-    d1 = prefac * float(t.wo @ (sloped @ t.wi)) / LN2
-    sloped *= t.slope
-    return h, d1, prefac * float(t.wo @ (sloped @ t.wi)) / (LN2 * LN2)
+    return t.h(s / LN2), t
 
 
 def _h_tail_bound(s, stats, secrecy):
@@ -329,7 +347,7 @@ def service_mellin_u(s: float, model: ServiceModel) -> float:
 def service_mellin_u_with_error(s: float, model: ServiceModel):
     """(H(s), error estimate): H at the first order that agrees with half of
     it within the tolerances, plus the analytic tail bound.  The cache entry
-    also keeps dH/ds and d^2H/ds^2 at that order.
+    also keeps dH/ds and d^2H/ds^2, formed only at that order.
     """
     if s < 0:
         raise ValueError("transform argument must be >= 0")
@@ -341,12 +359,12 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     prev = None
     entry = None
     for _ in range(spec.max_subdivisions):
-        val, d1, d2 = _h_eval(s, model, order)
+        val, tensors = _h_eval(s, model, order)
         if prev is not None:
             err = abs(val - prev)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
                 err += _h_tail_bound(s, model.stats, model.secrecy)
-                entry = (val, err, d1, d2)
+                entry = (val, err, *tensors.derivatives(s / LN2))
                 break
         prev = val
         order *= 2
@@ -428,7 +446,7 @@ def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
 
     f is convex, so Newton steps that start where f >= 0 descend onto the
     root and never pass it; an unbounded hi is first replaced by doubling
-    from lo.  Where f overflows the step is a bisection instead.  Returns
+    from lo.  f and f' at hi are carried, not evaluated again.  Where f overflows the step is a bisection instead.  Returns
     the last point with f >= 0: lo itself when f(lo) >= 0 after all, and
     a finite hi when the root lies past it.  Costs no H.
     """
@@ -442,19 +460,20 @@ def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
         return lo
     if math.isinf(hi):
         hi = 2.0 * lo
-        while f(hi)[0] < 0.0:
+        while (f_hi := f(hi))[0] < 0.0:
             lo, hi = hi, 2.0 * hi
-    elif f(hi)[0] < 0.0:
+    elif (f_hi := f(hi))[0] < 0.0:
         return hi
     for _ in range(MAX_SEARCH_STEPS):
-        v, d = f(hi)
+        v, d = f_hi
         s = hi - v / d if math.isfinite(v) and d > 0.0 else 0.5 * (lo + hi)
         if not lo < s < hi:
             break
-        if f(s)[0] < 0.0:
+        f_s = f(s)
+        if f_s[0] < 0.0:
             lo = s
         else:
-            hi = s
+            hi, f_hi = s, f_s
     return hi
 
 

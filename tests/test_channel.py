@@ -4,7 +4,8 @@ import pytest
 from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
                                 Topology, composite_gain, delta_sq_closed_form,
                                 estimate_eve_mean_snr, los_components, path_loss,
-                                sample_channels, snr, steering_vector)
+                                _eve_normal_layout, _ris_eve_links, sample_channels,
+                                snr, steering_vector)
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
 
@@ -148,6 +149,35 @@ def test_eve_calibration_equals_whole_realizations(topo, fading, shape):
     want = _eve_snr_from_realizations(topo, fading, 0.5, slow, 300)
     assert got.hex() == want.hex()
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _eve_snr_per_draw(topology, fading, p_tx, rng, n_draws):
+    """Oracle: the Eve calibration as a loop that builds each draw's links
+    to Eve on their own."""
+    noise = fading.noise_power_watts
+    n_el = topology.n_elements
+    re, im, total = _eve_normal_layout(n_el, topology.n_users)
+    acc = 0.0
+    for _ in range(n_draws):
+        z = rng.standard_normal(total)
+        cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
+        g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el],
+                                                    cn[n_el:])
+        theta = PhaseShiftConfig(rng.uniform(0.0, 2 * np.pi, n_el))
+        gain = composite_gain(complex(h_direct_eve), f_eve, theta, g_ris)
+        acc += snr(gain, p_tx, noise)
+    return acc / n_draws
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_env_lambda_eve_equals_per_draw_loop(seed):
+    # the env's calibration, all draws at once, gives lambda_eve bit for bit
+    # as a per-draw loop on the same stream
+    env = RisDownlinkEnv(default_config(), seed=seed)
+    rng = np.random.default_rng([seed, 13])
+    want = 1.0 / _eve_snr_per_draw(env.topology, env.fading, env.p_max / env.n_users,
+                                   rng, 500)
+    assert env.lambda_eve.hex() == want.hex()
 
 
 # ---------------------------------------------------------------- composite

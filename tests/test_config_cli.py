@@ -314,6 +314,18 @@ def test_cli_analyze_hostile_value_is_config_error(tmp_path, capsys, text, argv,
     assert err.startswith("config error") and key in err
 
 
+def test_cli_analyze_huge_user_count_is_config_error(tmp_path):
+    # an n_max large enough to keep n_ceiling >= n_floor lets a huge n_users
+    # past the ceiling check, so only its own cap stops the allocation
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text("[topology]\nn_users = 1e12\n[budget]\nn_max = 1e14\n")
+    proc = run_cli(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                   address_cap=1 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error") and "[topology] n_users" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # one key at a boundary value on a tiny scenario: analyze exits 0 with finite
 # cells (s_max may be infinite only for a vacuous bound) or 1 with a config
 # error; a huge value runs only in a child process with a 1 GiB address space
@@ -573,12 +585,13 @@ def test_cli_train_then_evaluate_round_trip(tmp_path):
                  "--checkpoint", str(ckpt)]) == 0
     assert (out2 / "evaluate.csv").read_bytes() == (out3 / "evaluate.csv").read_bytes()
     # a version-1 checkpoint holds a critic whose parameter inputs meant
-    # something else (all actions' parameters in every pass): refused
+    # something else (all actions' parameters in every pass): refused as an
+    # input mistake
     stale = json.loads(ckpt.read_text())
     stale["version"] = 1
     ckpt.write_text(json.dumps(stale))
     assert main(["evaluate", "--config", str(cfg_path), "--out", str(out3),
-                 "--checkpoint", str(ckpt)]) == 2
+                 "--checkpoint", str(ckpt)]) == 1
 
 
 def test_cli_sweep_train_scores_random_by_evaluate(tmp_path):

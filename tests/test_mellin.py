@@ -180,34 +180,62 @@ H_ORDERS = st.sampled_from([16, 32, 64, 128, 256])
 H_ARGS = st.floats(1e-4, 8.0)
 
 
+def _h_eval_at(s, model, order):
+    """H(s), dH/ds and d^2H/ds^2 at one order: the H pass, then the
+    derivative pass on its exp tensor."""
+    h, tensors = mellin._h_eval(s, model, order)
+    return (h, *tensors.derivatives(s / LN2))
+
+
+def _assert_cached_at_accepted_order(s, model):
+    """The cached (H, dH/ds, d^2H/ds^2) of s equal the one-pass oracle at the
+    order the doubling accepts, which is the top order a fresh model builds
+    for s alone."""
+    fresh = ServiceModel(model.stats, model.secrecy, model.quadrature)
+    service_mellin_u_with_error(s, fresh)
+    accepted = max(fresh._h_tensors)
+    h, _, d1, d2 = model._h_cache[s]
+    assert _bits((h, d1, d2)) == _bits(
+        _h_eval_one_pass(s, model.stats, model.secrecy, accepted))
+    assert _bits(model._h_cache[s]) == _bits(fresh._h_cache[s])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(log_rho=st.floats(6.0, 14.0), blocklength=st.floats(16.0, 1024.0),
        s=H_ARGS, others=st.lists(H_ARGS, min_size=1, max_size=3), order=H_ORDERS)
 def test_h_eval_bitwise_independent_of_earlier_s(log_rho, blocklength, s, others, order):
-    # a model that keeps the s-independent tensors of earlier s returns H,
-    # dH/ds and d^2H/ds^2 bit for bit as a fresh model and as a tensor built
-    # for s alone, at one order and through the order doubling
+    # a model that keeps the s-independent tensors and work buffers of
+    # earlier s, with or without their derivative passes, returns H, dH/ds
+    # and d^2H/ds^2 bit for bit as a fresh model and as a tensor built for
+    # s alone, at one order and through the order doubling
     def make():
         return ServiceModel(make_stats(rho=10.0 ** log_rho),
                             SecrecyParams(2e-6, 1e-3, blocklength),
                             QuadratureSpec(max_subdivisions=5))
 
     warm = make()
-    for x in others:
-        mellin._h_eval(x, warm, order)
-    got = mellin._h_eval(s, warm, order)
-    assert _bits(got) == _bits(mellin._h_eval(s, make(), order))
+    for i, x in enumerate(others):
+        if i % 2:
+            mellin._h_eval(x, warm, order)
+        else:
+            _h_eval_at(x, warm, order)
+    got = _h_eval_at(s, warm, order)
+    assert _bits(got) == _bits(_h_eval_at(s, make(), order))
     assert _bits(got) == _bits(_h_eval_one_pass(s, warm.stats, warm.secrecy, order))
 
-    fresh = make()
     try:
-        service_mellin_u_with_error(s, fresh)
+        service_mellin_u_with_error(s, make())
     except QuadratureError:
         with pytest.raises(QuadratureError):
             service_mellin_u_with_error(s, warm)
         return
+    for x in others:
+        try:
+            service_mellin_u_with_error(x, warm)
+        except QuadratureError:
+            pass
     service_mellin_u_with_error(s, warm)
-    assert _bits(warm._h_cache[s]) == _bits(fresh._h_cache[s])
+    _assert_cached_at_accepted_order(s, warm)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -216,14 +244,40 @@ def test_h_eval_bitwise_independent_of_earlier_s(log_rho, blocklength, s, others
 def test_h_tensors_live_and_die_with_their_model(log_rhos, s, order):
     # models made and dropped in a loop, so that a new one may take a dead
     # one's address, each start with no tensors and get tensors of their own
-    # link stats
+    # link stats, at one order and through the order doubling
     for log_rho in log_rhos:
         model = make_service(rho=10.0 ** log_rho)
+        model.quadrature = QuadratureSpec(max_subdivisions=5)
         assert model._h_tensors == {}
-        got = mellin._h_eval(s, model, order)
+        got = _h_eval_at(s, model, order)
         assert _bits(got) == _bits(_h_eval_one_pass(s, model.stats, model.secrecy, order))
+        try:
+            service_mellin_u_with_error(s, model)
+        except QuadratureError:
+            pass
+        else:
+            _assert_cached_at_accepted_order(s, model)
         del model
         gc.collect()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(log_rho=st.floats(6.0, 14.0), blocklength=st.floats(16.0, 1024.0), s=H_ARGS)
+def test_h_slope_built_only_at_the_accepted_order(log_rho, blocklength, s):
+    # the doubling forms dH/ds and d^2H/ds^2 only at the order it accepts,
+    # so a rung it passes over never builds its slope tensor
+    model = ServiceModel(make_stats(rho=10.0 ** log_rho),
+                         SecrecyParams(2e-6, 1e-3, blocklength),
+                         QuadratureSpec(max_subdivisions=5))
+    try:
+        service_mellin_u_with_error(s, model)
+    except QuadratureError:
+        assert all(t.slope is None for t in model._h_tensors.values())
+        return
+    accepted = max(model._h_tensors)
+    assert len(model._h_tensors) >= 2
+    for order, t in model._h_tensors.items():
+        assert (t.slope is None) == (order != accepted), order
 
 
 def test_determinacy_releases_h_tensors(monkeypatch):
@@ -626,3 +680,48 @@ def test_stability_smax_matches_bisection_reference(lam, pkt_bits, log_rho,
         return
     assert abs(s_max - ref) <= search.bisect_tol + 1e-10
     assert stability_product(s_max, arrival, make()) < 1.0
+
+
+def _exact_arrival_root_reevaluating(rate, scale, c0, c1, lo, hi=math.inf):
+    """Oracle: the exact-arrival root search that evaluates f afresh at the
+    upper end on every step."""
+    def f(s):
+        x = rate * s
+        if x > 700.0:
+            return math.inf, math.inf
+        return scale * math.expm1(x) + c0 + c1 * s, scale * rate * math.exp(x) + c1
+
+    if f(lo)[0] >= 0.0:
+        return lo
+    if math.isinf(hi):
+        hi = 2.0 * lo
+        while f(hi)[0] < 0.0:
+            lo, hi = hi, 2.0 * hi
+    elif f(hi)[0] < 0.0:
+        return hi
+    for _ in range(mellin.MAX_SEARCH_STEPS):
+        v, d = f(hi)
+        s = hi - v / d if math.isfinite(v) and d > 0.0 else 0.5 * (lo + hi)
+        if not lo < s < hi:
+            break
+        if f(s)[0] < 0.0:
+            lo = s
+        else:
+            hi = s
+    return hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(rate=1.0, scale=1e-6, c0=-50.0, c1=-10.0, lo=1e-4, width=math.inf)
+@example(rate=256.0, scale=0.35, c0=-0.2, c1=0.0, lo=1e-4, width=1e3)
+@given(rate=st.sampled_from([1.0, 2.0, 16.0, 256.0]) | st.floats(1e-3, 1e3),
+       scale=st.floats(1e-6, 1e3), c0=st.floats(-50.0, 5.0), c1=st.floats(-10.0, 10.0),
+       lo=st.floats(1e-4, 10.0),
+       width=st.just(math.inf) | st.floats(1e-12, 1e3))
+def test_exact_arrival_root_equals_reevaluating_search(rate, scale, c0, c1, lo, width):
+    # carrying f and f' at the upper end leaves every iterate, so the
+    # returned point, as it was
+    hi = lo + width
+    got = mellin._exact_arrival_root(rate, scale, c0, c1, lo, hi)
+    want = _exact_arrival_root_reevaluating(rate, scale, c0, c1, lo, hi)
+    assert got.hex() == want.hex()
