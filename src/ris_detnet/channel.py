@@ -15,6 +15,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 REFERENCE_DISTANCE_M = 1.0
+# the Eve calibration builds its links this many draws at a time: on the
+# reference scenario every array of a block then stays below 128 KiB, where
+# 500 draws at once raised the peak RSS of a process by about 1.5 MB
+EVE_DRAWS_PER_BLOCK = 64
 
 
 def db_to_linear(x_db: float) -> float:
@@ -358,26 +362,29 @@ def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
 
     Each draw takes a realization's normals and then a random phase config
     from the stream, as ``sample_channels`` and a uniform draw would, but
-    builds only the links that reach Eve, for all draws at once.  The
-    per-draw dot products run on C-contiguous rows and the SNRs are summed
-    in draw order, so the mean is that of a per-draw loop bit for bit.
+    builds only the links that reach Eve, for EVE_DRAWS_PER_BLOCK draws at
+    once.  The per-draw dot products run on C-contiguous rows and the SNRs
+    are summed in draw order, so the mean is that of a per-draw loop bit
+    for bit.
     """
     noise = fading.noise_power_watts
     n_el = topology.n_elements
     re, im, total = _eve_normal_layout(n_el, topology.n_users)
-    z = np.empty((n_draws, total))
-    phases = np.empty((n_draws, n_el))
-    for i in range(n_draws):
-        rng.standard_normal(out=z[i])
-        phases[i] = rng.uniform(0.0, 2 * np.pi, n_el)
-    cn = (z[:, re] + 1j * z[:, im]) / np.sqrt(2.0)
-    g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:, :n_el],
-                                                cn[:, n_el:])
-    coeff = PhaseShiftConfig(phases).coefficients.reshape(phases.shape)
-    reflected = np.ascontiguousarray(coeff * g_ris)
-    f_eve = np.ascontiguousarray(f_eve)
     acc = 0.0
-    for i in range(n_draws):
-        gain = complex(h_direct_eve[i] + np.vdot(f_eve[i], reflected[i]))
-        acc += snr(gain, p_tx, noise)
+    for start in range(0, n_draws, EVE_DRAWS_PER_BLOCK):
+        n = min(EVE_DRAWS_PER_BLOCK, n_draws - start)
+        z = np.empty((n, total))
+        phases = np.empty((n, n_el))
+        for i in range(n):
+            rng.standard_normal(out=z[i])
+            phases[i] = rng.uniform(0.0, 2 * np.pi, n_el)
+        cn = (z[:, re] + 1j * z[:, im]) / np.sqrt(2.0)
+        g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:, :n_el],
+                                                    cn[:, n_el:])
+        coeff = PhaseShiftConfig(phases).coefficients.reshape(phases.shape)
+        reflected = np.ascontiguousarray(coeff * g_ris)
+        f_eve = np.ascontiguousarray(f_eve)
+        for i in range(n):
+            gain = complex(h_direct_eve[i] + np.vdot(f_eve[i], reflected[i]))
+            acc += snr(gain, p_tx, noise)
     return acc / n_draws
