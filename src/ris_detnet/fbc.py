@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -21,11 +22,13 @@ LOG2E = float(np.log2(np.e))
 _STD = NormalDist()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecrecyParams:
     """Decoding error rate, leakage probability and blocklength.
 
-    The blocklength is kept continuous (it is an RL control).
+    The blocklength is kept continuous (it is an RL control).  The Qinv
+    factors of the penalties are computed on first use and kept; the
+    parameters are frozen, so they cannot go stale.
     """
 
     epsilon_e: float = 2e-6
@@ -40,16 +43,30 @@ class SecrecyParams:
         if self.blocklength < 1.0:
             raise ValueError("blocklength must be >= 1")
 
-    @property
+    @cached_property
+    def _qinv_eps(self) -> float:
+        return q_inv(self.epsilon_e)
+
+    @cached_property
+    def _qinv_sigma(self) -> float:
+        return q_inv(self.sigma_leak)
+
+    @cached_property
     def pen_u(self) -> float:
         """Decoding-error penalty Qinv(eps_e)/sqrt(n), in nats per channel use,
         with the user dispersion taken as 1 (the analysed service model)."""
-        return q_inv(self.epsilon_e) / math.sqrt(self.blocklength)
+        return self._qinv_eps / math.sqrt(self.blocklength)
+
+    @cached_property
+    def pen_e_max(self) -> float:
+        """Upper bound of ``pen_e`` over Eve's SNR (V_e < 1), and 0 when
+        sigma > 1/2 makes the penalty a bonus."""
+        return max(0.0, self._qinv_sigma) / math.sqrt(self.blocklength)
 
     def pen_e(self, gamma_e):
         """Leakage penalty sqrt(V_e/n)*Qinv(sigma) at Eve's SNR gamma_e, in
         nats per channel use."""
-        return np.sqrt(dispersion(gamma_e) / self.blocklength) * q_inv(self.sigma_leak)
+        return np.sqrt(dispersion(gamma_e) / self.blocklength) * self._qinv_sigma
 
 
 def q_inv(p: float) -> float:
@@ -79,7 +96,7 @@ def fbc_secrecy_rate(gamma_user, gamma_eve, params: SecrecyParams):
     ge = np.asarray(gamma_eve, dtype=float)
     n = params.blocklength
     rate = (secrecy_capacity(gu, ge)
-            - np.sqrt(dispersion(gu) / n) * q_inv(params.epsilon_e) * LOG2E
+            - np.sqrt(dispersion(gu) / n) * params._qinv_eps * LOG2E
             - params.pen_e(ge) * LOG2E)
     out = np.maximum(rate, 0.0)
     return float(out) if out.ndim == 0 else out

@@ -12,11 +12,15 @@ The service transform reduces to the double integral H(s) over the Eve and
 user SNR densities; it is evaluated by tensor-product Gauss-Legendre
 quadrature after substituting both variables onto the unit interval, with
 order doubling until the requested tolerance is met.  Only the exp tensor
-depends on s: each ServiceModel builds the rest once per order it reaches
-and keeps it until its determinacy is done, so each rung of the doubling
-costs one exp and one matrix-vector pair.  dH/ds and d^2H/ds^2, which steer
-the searches below, weight the exp tensor of the accepted rung by the
-slope of the log integrand, once per s and only at that rung.
+depends on s, so each rung of the doubling costs one exp and one
+matrix-vector pair.  Of the rest, the order x order log ratio, the nodes
+and the weights depend only on (lambda_E, rho*delta^2, order), so one
+byte-bounded LRU shares them across codewords and blocklengths; each
+ServiceModel adds the codeword and blocklength terms once per order it
+reaches and keeps them until its determinacy is done.  dH/ds and
+d^2H/ds^2, which steer the searches below, weight the exp tensor of the
+accepted rung by the slope of the log integrand, once per s and only at
+that rung.
 
 log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
 log-moment-generating function, the log product
@@ -33,13 +37,14 @@ of a determinacy share the model's H cache.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import LinkStats
-from .fbc import SecrecyParams, q_inv
+from .fbc import SecrecyParams
 
 LN2 = math.log(2.0)
 # both improper H(s) integrals are cut where the exponential weight of the
@@ -52,6 +57,10 @@ INNER_TRUNCATION_MULT = 40.0
 # keeps rounding noise in K near the minimum from stalling it
 LOG_K_TOL = 1e-14
 MAX_SEARCH_STEPS = 100
+# the shared H(s) quadrature geometry is kept up to this many bytes of
+# arrays, orders 16-128 of about a dozen (lambda_E, rho*delta^2) pairs; a
+# single geometry of order 512 or more is larger and is never kept
+GEOMETRY_BUDGET_BYTES = 2 << 20
 
 
 class StabilityError(RuntimeError):
@@ -163,10 +172,12 @@ class ServiceModel:
     searches at several horizons reuse the expensive quadrature.  Each entry
     is (H, error estimate, dH/ds, d^2H/ds^2).  ``_h_tensors`` keeps the
     s-independent quadrature tensors of each order reached, keyed by order:
-    2 * order^2 floats per order (256 KiB at order 128), 3 * order^2 at an
-    order that has been accepted, freed with the model or when
+    order^2 floats of the model's own per order (128 KiB at order 128),
+    2 * order^2 at an order that has been accepted, plus a reference to the
+    shared geometry (another order^2), freed with the model or when
     ``delay_determinacy`` returns, so that a caller who keeps models keeps
-    only their H values.
+    only their H values.  Geometry of orders up to 256 may stay in the
+    module's LRU, which never holds more than GEOMETRY_BUDGET_BYTES.
     """
 
     stats: LinkStats
@@ -232,38 +243,24 @@ def _gl_nodes(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@dataclass
-class _HTensors:
-    """The s-independent half of the H(s) quadrature at one order.
-
-    The log integrand of H is a * log_ratio + a * pen_e - gamma_e / m plus
-    the constant a * pen_u - upsilon/delta^2, so only the exp depends on s.
-    log_ratio, work and slope are (order, order); the rest are vectors.
-    ``work`` holds the exp tensor of the last ``h`` call, which
-    ``derivatives`` reads.  ``slope`` is built by the first ``derivatives``
-    call, so an order the doubling never accepts never pays for it.
-    """
+@dataclass(frozen=True)
+class _Geometry:
+    """The half of the H(s) quadrature at one order that depends only on
+    (lambda_E, m = rho*delta^2, order), not on s, the codeword or the
+    blocklength.  Its arrays are read-only, since models share them."""
 
     wo: np.ndarray              # outer weights
     wi: np.ndarray              # inner weights
-    log_ratio: np.ndarray       # log1p(gamma_e) - log1p(gamma_k)
-    work: np.ndarray            # the exp tensor of the last h(a)
-    pen_e: np.ndarray
+    gamma_e: np.ndarray         # outer nodes, in Eve's SNR
+    log_ratio: np.ndarray       # log1p(gamma_e) - log1p(gamma_k), (order, order)
     decay: np.ndarray           # gamma_e / m
-    pen_u: float
-    los_log: float              # -upsilon/delta^2
-    slope: np.ndarray | None = None  # ln2 * d/ds of the log integrand
 
     @classmethod
-    def build(cls, stats, secrecy, order):
+    def build(cls, lam_e, m, order):
         """Map both improper integrals onto the unit interval by the exact
         exponential substitutions gamma_e = -ln(1-q)/lambda_E and
-        gamma_k = gamma_e - m*ln(1-p) with m = rho*delta^2, so the truncation
-        multipliers become fixed sub-unit upper limits."""
-        lam_e = stats.lambda_eve
-        m = stats.rho * stats.delta_k_sq
-        pen_u = secrecy.pen_u
-
+        gamma_k = gamma_e - m*ln(1-p), so the truncation multipliers become
+        fixed sub-unit upper limits."""
         q_hi = -math.expm1(-OUTER_TRUNCATION_MULT)
         p_hi = -math.expm1(-INNER_TRUNCATION_MULT)
         xq, wq = _gl_nodes(order)
@@ -271,20 +268,82 @@ class _HTensors:
         xi, wi = xq * p_hi, wq * p_hi
 
         gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
-        pen_e = secrecy.pen_e(gamma_e)
         gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
-        # log1p(gamma_k) in place: gamma_k becomes the work buffer
         log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k, out=gamma_k)
-        return cls(wo, wi, log_ratio, gamma_k, pen_e, gamma_e / m, pen_u,
-                   -stats.upsilon_k / stats.delta_k_sq)
+        arrays = (wo, wi, gamma_e, log_ratio, gamma_e / m)
+        for x in arrays:
+            x.flags.writeable = False
+        return cls(*arrays)
+
+    @property
+    def nbytes(self):
+        return sum(x.nbytes for x in (self.wo, self.wi, self.gamma_e, self.log_ratio,
+                                      self.decay))
+
+
+class _GeometryCache:
+    """Least-recently-used ``_Geometry`` by the exact (lambda_E, m, order),
+    holding at most GEOMETRY_BUDGET_BYTES of arrays.  A geometry larger than
+    the whole budget is built for its caller and not kept, so it dies with
+    the models that use it.  Not locked: the package shares no model or
+    cache across threads (sweep workers are processes)."""
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.nbytes = 0
+
+    def __call__(self, lam_e, m, order):
+        key = (lam_e, m, order)
+        geo = self.entries.get(key)
+        if geo is not None:
+            self.entries.move_to_end(key)
+            return geo
+        geo = _Geometry.build(lam_e, m, order)
+        if geo.nbytes <= GEOMETRY_BUDGET_BYTES:
+            self.entries[key] = geo
+            self.nbytes += geo.nbytes
+            while self.nbytes > GEOMETRY_BUDGET_BYTES:
+                self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+        return geo
+
+
+_geometry = _GeometryCache()
+
+
+@dataclass
+class _HTensors:
+    """One model's H(s) quadrature at one order: the shared geometry plus
+    the codeword and blocklength terms.
+
+    The log integrand of H is a * log_ratio + a * pen_e - gamma_e / m plus
+    the constant a * pen_u - upsilon/delta^2, so only the exp depends on s.
+    ``work`` and ``slope`` are (order, order) and the model's own; ``work``
+    holds the exp tensor of the last ``h`` call, which ``derivatives``
+    reads.  ``slope`` is built by the first ``derivatives`` call, so an
+    order the doubling never accepts never pays for it.
+    """
+
+    geo: _Geometry
+    pen_e: np.ndarray
+    pen_u: float
+    los_log: float              # -upsilon/delta^2
+    work: np.ndarray            # the exp tensor of the last h(a)
+    slope: np.ndarray | None = None  # ln2 * d/ds of the log integrand
+
+    @classmethod
+    def build(cls, stats, secrecy, order):
+        geo = _geometry(stats.lambda_eve, stats.rho * stats.delta_k_sq, order)
+        return cls(geo, secrecy.pen_e(geo.gamma_e), secrecy.pen_u,
+                   -stats.upsilon_k / stats.delta_k_sq, np.empty_like(geo.log_ratio))
 
     def h(self, a):
         """H at a = s/ln2: one exp tensor, left in ``work``, and one
         matrix-vector pair."""
-        weight = np.multiply(a, self.log_ratio, out=self.work)
-        weight += (a * self.pen_e - self.decay)[:, None]
+        geo = self.geo
+        weight = np.multiply(a, geo.log_ratio, out=self.work)
+        weight += (a * self.pen_e - geo.decay)[:, None]
         np.exp(weight, out=weight)
-        return math.exp(self.los_log + a * self.pen_u) * float(self.wo @ (weight @ self.wi))
+        return math.exp(self.los_log + a * self.pen_u) * float(geo.wo @ (weight @ geo.wi))
 
     def derivatives(self, a):
         """(dH/ds, d^2H/ds^2) at the a of the last ``h`` call.
@@ -294,13 +353,14 @@ class _HTensors:
         derivatives weight the exp tensor in ``work`` by that slope, once
         and twice; ``work`` is overwritten.
         """
+        geo = self.geo
         if self.slope is None:
-            self.slope = self.log_ratio + (self.pen_e + self.pen_u)[:, None]
+            self.slope = geo.log_ratio + (self.pen_e + self.pen_u)[:, None]
         prefac = math.exp(self.los_log + a * self.pen_u)
         sloped = np.multiply(self.work, self.slope, out=self.work)
-        d1 = prefac * float(self.wo @ (sloped @ self.wi)) / LN2
+        d1 = prefac * float(geo.wo @ (sloped @ geo.wi)) / LN2
         sloped *= self.slope
-        return d1, prefac * float(self.wo @ (sloped @ self.wi)) / (LN2 * LN2)
+        return d1, prefac * float(geo.wo @ (sloped @ geo.wi)) / (LN2 * LN2)
 
 
 def _h_eval(s, model, order):
@@ -324,8 +384,8 @@ def _h_tail_bound(s, stats, secrecy):
     a = s / LN2
     m = stats.rho * stats.delta_k_sq
     lam_e = stats.lambda_eve
-    pen_e_max = max(0.0, q_inv(secrecy.sigma_leak)) / math.sqrt(secrecy.blocklength)
-    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq + a * (secrecy.pen_u + pen_e_max))
+    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq
+                      + a * (secrecy.pen_u + secrecy.pen_e_max))
     # (1+g_e)^a * (1+g_k)^-a <= 1 on the wedge, so the outer tail integrand
     # is dominated by lam_e*exp(-(lam_e + 1/m)*gamma_e)
     expo = -OUTER_TRUNCATION_MULT * (1.0 + 1.0 / (m * lam_e))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -253,3 +256,37 @@ def test_hybrid_action_validation():
         HybridAction(0, 1.5)
     with pytest.raises(ValueError):
         HybridAction(-1, 0.5)
+
+
+# ------------------------------------------------------------- analysis reference
+
+ANALYSIS_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "analysis_reference.json"
+
+
+def test_eval_determinacies_match_the_analysis_reference():
+    # 48 rows of the benchmark's reference table, one per (load, window,
+    # user, power) with codeword and blocklength varying: all six envs and
+    # both cost families (the two low powers converge at orders 16/32, the
+    # two high ones need 128); bounds and varpi within 1e-6, as the
+    # benchmark checks them
+    table = json.loads(ANALYSIS_TABLE.read_text(encoding="utf-8"))
+    rows = [dict(zip(table["columns"], r)) for r in table["rows"]]
+    assert len(rows) == 1536
+    sample = [rows[32 * k + (11 * k) % 32] for k in range(48)]
+    assert len({(r["lam"], r["t_min"], r["user"], r["power_index"]) for r in sample}) == 48
+    assert len({r["codeword"] for r in sample}) == 4
+    envs = {}
+    for row in sample:
+        key = (row["lam"], row["t_min"], row["t_max"])
+        if key not in envs:
+            cfg = rd.default_config()
+            cfg.set_by_path("arrival.lambda_pkts", row["lam"])
+            cfg.set_by_path("delay.t_max", row["t_max"])
+            cfg.set_by_path("delay.t_min", row["t_min"])
+            envs[key] = RisDownlinkEnv(cfg)
+        env = envs[key]
+        res = env.varpi(row["user"], float(env.codebook.power_levels[row["power_index"]]),
+                        row["codeword"], row["blocklength"], profile="eval")
+        for name in ("bound_tmin", "bound_tmax", "varpi"):
+            assert abs(getattr(res, name) - row[name]) <= 1e-6, (row, name)
+    assert len(envs) == 6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, ndtri
 
+from ris_detnet import fbc
 from ris_detnet.fbc import (LOG2E, SecrecyParams, dispersion, fbc_secrecy_rate,
                             q_inv, secrecy_capacity)
 
@@ -142,6 +144,30 @@ def test_penalties_and_rate_follow_the_normal_approximation():
                 - (math.sqrt(dispersion(gu)) * q_inv(2e-6)
                    + math.sqrt(dispersion(0.2)) * q_inv(1e-3)) / 16.0 * LOG2E)
         assert fbc_secrecy_rate(gu, 0.2, params) == pytest.approx(want, rel=1e-12)
+
+
+def test_secrecy_constants_computed_once_per_params(monkeypatch):
+    # pen_u, pen_e, pen_e_max and the rate take their Qinv factors from one
+    # computation per SecrecyParams, bit for bit as computed on each access;
+    # the parameters are frozen, so those factors cannot go stale
+    calls = []
+    monkeypatch.setattr(fbc, "q_inv", lambda p: calls.append(p) or q_inv(p))
+    ge = np.array([0.0, 0.2, 3.0, 1e4])
+    for eps, sigma, n in ((2e-6, 1e-3, 128.0), (0.3, 0.7, 17.5), (1e-12, 0.5, 1.0)):
+        params = SecrecyParams(eps, sigma, n)
+        for _ in range(3):
+            assert params.pen_u == q_inv(eps) / math.sqrt(n)
+            assert params.pen_e_max == max(0.0, q_inv(sigma)) / math.sqrt(n)
+            assert params.pen_e(ge).tobytes() == (
+                np.sqrt(dispersion(ge) / n) * q_inv(sigma)).tobytes()
+            rate = (secrecy_capacity(50.0, 0.2)
+                    - np.sqrt(dispersion(50.0) / n) * q_inv(eps) * LOG2E
+                    - params.pen_e(0.2) * LOG2E)
+            assert fbc_secrecy_rate(50.0, 0.2, params) == float(np.maximum(rate, 0.0))
+        assert sorted(calls) == sorted([eps, sigma])
+        calls.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.blocklength = 2.0
 
 
 def test_secrecy_params_validation():

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +292,84 @@ def test_determinacy_releases_h_tensors(monkeypatch):
     with pytest.raises(SearchError):
         delay_determinacy(DelayWindow(2, 8), ARRIVAL, service)
     assert service._h_cache and service._h_tensors == {}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(log_rho=st.floats(6.0, 14.0), log_delta=st.floats(-11.0, -7.0),
+       log_lam=st.floats(-3.0, 1.0), ups=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+       blocklengths=st.tuples(st.floats(16.0, 1024.0), st.floats(16.0, 1024.0)),
+       s=H_ARGS, order=H_ORDERS)
+def test_h_bitwise_on_geometry_shared_across_codewords_and_blocklengths(
+        log_rho, log_delta, log_lam, ups, blocklengths, s, order):
+    # a second model with the same (lambda_E, rho*delta^2) but another
+    # codeword (upsilon) and blocklength reuses the first one's geometry
+    # and still gets H, dH/ds and d^2H/ds^2 of a tensor built for it alone
+    delta, lam = 10.0 ** log_delta, 10.0 ** log_lam
+    first, second = (
+        ServiceModel(make_stats(delta=delta, ups=u * delta, rho=10.0 ** log_rho, lam_e=lam),
+                     SecrecyParams(2e-6, 1e-3, n))
+        for u, n in zip(ups, blocklengths))
+    _h_eval_at(s, first, order)
+    got = _h_eval_at(s, second, order)
+    assert second._h_tensors[order].geo is first._h_tensors[order].geo
+    assert _bits(got) == _bits(_h_eval_one_pass(s, second.stats, second.secrecy, order))
+
+
+def test_shared_geometry_is_read_only():
+    model = make_service()
+    service_mellin_u(0.3, model)
+    assert model._h_tensors
+    for tensors in model._h_tensors.values():
+        for name in ("wo", "wi", "gamma_e", "log_ratio", "decay"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tensors.geo, name)[0] = 0.0
+
+
+def test_geometry_cache_evicts_the_least_recently_used(monkeypatch):
+    size = mellin._Geometry.build(1.0, 1.0, 16).nbytes
+    monkeypatch.setattr(mellin, "GEOMETRY_BUDGET_BYTES", 2 * size)
+    cache = mellin._GeometryCache()
+    first = cache(1.0, 1.0, 16)
+    cache(1.0, 2.0, 16)
+    assert cache(1.0, 1.0, 16) is first
+    cache(1.0, 3.0, 16)
+    assert list(cache.entries) == [(1.0, 1.0, 16), (1.0, 3.0, 16)]
+    assert cache.nbytes == 2 * size
+    # larger than the whole budget: built, returned and not kept
+    big = cache(1.0, 1.0, 32)
+    assert big.log_ratio.shape == (32, 32)
+    assert list(cache.entries) == [(1.0, 1.0, 16), (1.0, 3.0, 16)]
+    assert cache.nbytes == 2 * size
+
+
+def test_geometry_cache_within_budget_over_determinacies(monkeypatch):
+    # a budget that holds orders 16-64 of two (lambda_E, m) keys but no
+    # order 128: across determinacies the LRU stays within it, a second
+    # blocklength reuses what the first built, and every geometry over the
+    # budget is freed when the determinacy that built it returns
+    budget = 100_000
+    monkeypatch.setattr(mellin, "GEOMETRY_BUDGET_BYTES", budget)
+    cache = mellin._GeometryCache()
+    monkeypatch.setattr(mellin, "_geometry", cache)
+    built = []
+    build = mellin._Geometry.build
+
+    def recording_build(lam_e, m, order):
+        geo = build(lam_e, m, order)
+        built.append(((m, order), geo.nbytes, weakref.ref(geo)))
+        return geo
+
+    monkeypatch.setattr(mellin._Geometry, "build", recording_build)
+    for rho in (1e11, 1e12, 1e13, 1e14):
+        for blocklength in (32.0, 200.0):
+            delay_determinacy(DelayWindow(2, 8), ARRIVAL,
+                              make_service(rho=rho, blocklength=blocklength))
+            gc.collect()
+            assert cache.nbytes == sum(g.nbytes for g in cache.entries.values()) <= budget
+            assert all(ref() is None for _, nbytes, ref in built if nbytes > budget)
+    kept = [key for key, nbytes, _ in built if nbytes <= budget]
+    assert len(kept) == len(set(kept)) < len(built)
+    assert len(cache.entries) < len(kept)
 
 
 # ------------------------------------------------------------- service mellin
