@@ -279,9 +279,20 @@ def n_step_target(batch: dict, critic_target: Mlp, actor: Mlp, gamma: float,
     episode-truncated chains."""
     (params, _), _ = actor.forward(batch["next_states"])
     q, _ = pass_q(critic_target, batch["next_states"], params, scratch)
-    boot = q.max(axis=1)
+    return _n_step_return(batch, gamma, q.max(axis=1))
+
+
+def _n_step_return(batch: dict, gamma: float, boot: np.ndarray) -> np.ndarray:
+    """n-step reward plus gamma^k * boot, which truncated chains drop."""
     return batch["n_reward"] + np.where(batch["done"], 0.0,
                                         gamma ** batch["steps"] * boot)
+
+
+def _clipped_step(net: Mlp, grads: list, opt: OptimizerState, grad_clip: float):
+    """One optimizer step on grads clipped to global norm grad_clip if > 0."""
+    if grad_clip > 0:
+        grads = clip_global_norm(grads, grad_clip)
+    optimizer_step(net.parameters(), grads, opt)
 
 
 def _fit_taken(net: Mlp, inputs: np.ndarray, idx: np.ndarray, targets: np.ndarray):
@@ -311,9 +322,7 @@ def critic_loss_and_grads(batch: dict, critic: Mlp, targets: np.ndarray):
 def critic_update(batch: dict, critic: Mlp, targets: np.ndarray,
                   opt: OptimizerState, grad_clip: float = 0.0) -> float:
     loss, grads = critic_loss_and_grads(batch, critic, targets)
-    if grad_clip > 0:
-        grads = clip_global_norm(grads, grad_clip)
-    optimizer_step(critic.parameters(), grads, opt)
+    _clipped_step(critic, grads, opt, grad_clip)
     return loss
 
 
@@ -349,9 +358,7 @@ def actor_update(batch: dict, actor: Mlp, critic: Mlp, opt: OptimizerState,
                  mode: str, grad_clip: float = 0.0,
                  scratch: dict | None = None) -> float:
     loss, grads = actor_loss_and_grads(batch, actor, critic, mode, scratch)
-    if grad_clip > 0:
-        grads = clip_global_norm(grads, grad_clip)
-    optimizer_step(actor.parameters(), grads, opt)
+    _clipped_step(actor, grads, opt, grad_clip)
     return loss
 
 
@@ -378,13 +385,9 @@ class NStepAssembler:
     def _emit(self, done: bool):
         k = len(self.pending)
         r_n = sum(self.gamma ** i * rec[3] for i, rec in enumerate(self.pending))
+        last_next = self.pending[-1][4]
         first = self.pending.popleft()
-        last_next = first[4] if k == 1 else self._last_next
         return (first[0], first[1], first[2], r_n, last_next, done, k)
-
-    @property
-    def _last_next(self):
-        return self.pending[-1][4] if self.pending else None
 
 
 @dataclass
@@ -614,13 +617,9 @@ class DqnAgent(Agent):
             return math.nan, math.nan
         tgt_net = self.q_target if cfg.use_target else self.q_net
         q_next, _ = tgt_net.forward(batch["next_states"])
-        y = batch["n_reward"] + np.where(
-            batch["done"], 0.0,
-            cfg.gamma_discount ** batch["steps"] * q_next.max(axis=1))
+        y = _n_step_return(batch, cfg.gamma_discount, q_next.max(axis=1))
         loss, grads = _fit_taken(self.q_net, batch["states"], batch["action_idx"], y)
-        if cfg.grad_clip > 0:
-            grads = clip_global_norm(grads, cfg.grad_clip)
-        optimizer_step(self.q_net.parameters(), grads, self.opt)
+        _clipped_step(self.q_net, grads, self.opt, cfg.grad_clip)
         return loss, math.nan
 
     def sync_target(self):

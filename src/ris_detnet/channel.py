@@ -15,10 +15,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 REFERENCE_DISTANCE_M = 1.0
-# the Eve calibration builds its links this many draws at a time: on the
-# reference scenario every array of a block then stays below 128 KiB, where
-# 500 draws at once raised the peak RSS of a process by about 1.5 MB
-EVE_DRAWS_PER_BLOCK = 64
+# the Eve calibration builds its links in blocks of draws whose normals take
+# at most this many bytes, or of one draw: 61 draws on the reference scenario
+# (500 draws at once raised the peak RSS of a process by about 1.5 MB)
+EVE_BLOCK_BYTES = 1 << 16
 
 
 def db_to_linear(x_db: float) -> float:
@@ -182,14 +182,16 @@ class ChannelRealization:
             raise ValueError("RIS vector length mismatch")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkStats:
     """Distribution parameters of one user's SNR model.
 
     delta_k_sq is the variance of the composite gain around its LoS mean,
     upsilon_k the squared LoS composite |f^H Theta g|^2, rho the transmit
     SNR P_k/sigma_n^2 and lambda_eve the exponential rate (1/mean linear
-    SNR) of the eavesdropper model.
+    SNR) of the eavesdropper model.  In place of the Rician user SNR the
+    analysis assumes an exponential of scale ``snr_scale`` that is finite
+    with probability exp(``los_log``); the rest counts as infinite service.
     """
 
     delta_k_sq: float
@@ -205,6 +207,16 @@ class LinkStats:
             raise ValueError("delta_k_sq, rho and lambda_eve must be positive")
         if self.upsilon_k < 0:
             raise ValueError("upsilon_k must be >= 0")
+
+    @property
+    def snr_scale(self) -> float:
+        """rho*delta^2."""
+        return self.rho * self.delta_k_sq
+
+    @property
+    def los_log(self) -> float:
+        """-upsilon/delta^2."""
+        return -self.upsilon_k / self.delta_k_sq
 
 
 def path_loss(d: float, alpha: float, pl0_db: float) -> float:
@@ -362,17 +374,18 @@ def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
 
     Each draw takes a realization's normals and then a random phase config
     from the stream, as ``sample_channels`` and a uniform draw would, but
-    builds only the links that reach Eve, for EVE_DRAWS_PER_BLOCK draws at
-    once.  The per-draw dot products run on C-contiguous rows and the SNRs
-    are summed in draw order, so the mean is that of a per-draw loop bit
-    for bit.
+    builds only the links that reach Eve, for a block of draws at once
+    (EVE_BLOCK_BYTES).  The per-draw dot products run on C-contiguous rows
+    and the SNRs are summed in draw order, so the mean is that of a
+    per-draw loop bit for bit.
     """
     noise = fading.noise_power_watts
     n_el = topology.n_elements
     re, im, total = _eve_normal_layout(n_el, topology.n_users)
+    block = max(1, EVE_BLOCK_BYTES // (8 * total))
     acc = 0.0
-    for start in range(0, n_draws, EVE_DRAWS_PER_BLOCK):
-        n = min(EVE_DRAWS_PER_BLOCK, n_draws - start)
+    for start in range(0, n_draws, block):
+        n = min(block, n_draws - start)
         z = np.empty((n, total))
         phases = np.empty((n, n_el))
         for i in range(n):

@@ -138,8 +138,8 @@ class StepOutcome:
 class RisDownlinkEnv:
     """Quasi-static geometry, per-slot block fading, analytic reward.
 
-    The window-determinacy evaluations are memoised on quantised
-    (LinkStats, blocklength) keys per quadrature profile; geometry and the
+    The window-determinacy evaluations are memoised per quadrature profile
+    on the exact (LinkStats, blocklength, window) key; geometry and the
     codebook are fixed for the lifetime of the instance.
     """
 
@@ -164,8 +164,7 @@ class RisDownlinkEnv:
         self.observe_eve = config.get("env", "observe_eve")
         self.episode_steps = config.get("env", "episode_steps")
 
-        g_los, f_user_los, f_eve_los = los_components(self.topology, self.fading)
-        self._los = (g_los, f_user_los, f_eve_los)
+        g_los, f_user_los, _ = los_components(self.topology, self.fading)
         align_user = config.get("codebook", "align_user")
         self.codebook = build_codebook(
             self.p_max, config.get("codebook", "n_power_levels"),
@@ -202,10 +201,6 @@ class RisDownlinkEnv:
 
     # -- determinacy scoring --------------------------------------------
 
-    @staticmethod
-    def _quant(x: float) -> float:
-        return float(f"{x:.5g}")
-
     def link_stats(self, user: int, power: float, codeword_index: int) -> LinkStats:
         """SNR-model parameters of one user at a transmit power and codeword."""
         return LinkStats(delta_k_sq=float(self.delta_sq[user]),
@@ -219,9 +214,7 @@ class RisDownlinkEnv:
         # train profile trades blocklength resolution (4 channel uses) for
         # cache hits; evaluation scores the exact continuous value
         n_q = max(1.0, 4.0 * round(blocklength / 4.0)) if profile == "train" else blocklength
-        key = (self._quant(stats.delta_k_sq), self._quant(stats.upsilon_k),
-               self._quant(stats.rho), self._quant(stats.lambda_eve), n_q,
-               self.window.t_min, self.window.t_max)
+        key = (stats, n_q, self.window.t_min, self.window.t_max)
         cache = self._varpi_cache[profile]
         hit = cache.get(key)
         if hit is not None:

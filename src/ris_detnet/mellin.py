@@ -332,9 +332,9 @@ class _HTensors:
 
     @classmethod
     def build(cls, stats, secrecy, order):
-        geo = _geometry(stats.lambda_eve, stats.rho * stats.delta_k_sq, order)
-        return cls(geo, secrecy.pen_e(geo.gamma_e), secrecy.pen_u,
-                   -stats.upsilon_k / stats.delta_k_sq, np.empty_like(geo.log_ratio))
+        geo = _geometry(stats.lambda_eve, stats.snr_scale, order)
+        return cls(geo, secrecy.pen_e(geo.gamma_e), secrecy.pen_u, stats.los_log,
+                   np.empty_like(geo.log_ratio))
 
     def h(self, a):
         """H at a = s/ln2: one exp tensor, left in ``work``, and one
@@ -382,10 +382,9 @@ def _h_tail_bound(s, stats, secrecy):
     """Analytic bound on the truncated outer tail, gamma_e past
     OUTER_TRUNCATION_MULT / lambda_E.  The inner tail is not included."""
     a = s / LN2
-    m = stats.rho * stats.delta_k_sq
+    m = stats.snr_scale
     lam_e = stats.lambda_eve
-    prefac = math.exp(-stats.upsilon_k / stats.delta_k_sq
-                      + a * (secrecy.pen_u + secrecy.pen_e_max))
+    prefac = math.exp(stats.los_log + a * (secrecy.pen_u + secrecy.pen_e_max))
     # (1+g_e)^a * (1+g_k)^-a <= 1 on the wedge, so the outer tail integrand
     # is dominated by lam_e*exp(-(lam_e + 1/m)*gamma_e)
     expo = -OUTER_TRUNCATION_MULT * (1.0 + 1.0 / (m * lam_e))

@@ -58,24 +58,21 @@ class QueueResult:
     def n_packets(self) -> int:
         return self.delays.size
 
-    def tail_prob(self, t: float):
-        """(p_hat, half_width) for Pr{W > t} with a 95% normal CI."""
+    def _share(self, hit: np.ndarray):
+        """(p_hat, 95% normal-CI half-width) for the share of packets hit."""
         n = self.n_packets
         if n == 0:
             return math.nan, math.nan
-        p = float(np.mean(self.delays > t))
-        half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-        return p, half
+        p = float(np.mean(hit))
+        return p, 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+
+    def tail_prob(self, t: float):
+        """(p_hat, half_width) for Pr{W > t}."""
+        return self._share(self.delays > t)
 
     def window_prob(self, t_min: float, t_max: float):
         """(p_hat, half_width) for Pr{t_min < W < t_max}."""
-        n = self.n_packets
-        if n == 0:
-            return math.nan, math.nan
-        hit = (self.delays > t_min) & (self.delays < t_max)
-        p = float(np.mean(hit))
-        half = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-        return p, half
+        return self._share((self.delays > t_min) & (self.delays < t_max))
 
 
 def _blocks(n_slots: int):
@@ -154,7 +151,7 @@ def _rice_parts(stats: LinkStats, rng: np.random.Generator, size: int):
     """Real and imaginary parts of the Rician user amplitude: a complex
     Gaussian around the LoS mean, whose power is the user SNR."""
     los = math.sqrt(stats.rho * stats.upsilon_k)
-    sd = math.sqrt(stats.rho * stats.delta_k_sq / 2.0)
+    sd = math.sqrt(stats.snr_scale / 2.0)
     return rng.normal(los, sd, size), rng.normal(0.0, sd, size)
 
 
@@ -188,20 +185,18 @@ def model_matched_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
     "infinite service" mass.  Decode failures serve 0 bits.  Against this
     sampler the kernel bound is a sharp (theory-exact) upper bound.
     """
-    pen_u = secrecy.pen_u
-    finite_mass = math.exp(-stats.upsilon_k / stats.delta_k_sq)
-    scale = stats.rho * stats.delta_k_sq
+    finite_mass = math.exp(stats.los_log)
 
     def sampler(rng: np.random.Generator, n_slots: int) -> np.ndarray:
         gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
-        gamma_k = rng.exponential(scale, n_slots)
+        gamma_k = rng.exponential(stats.snr_scale, n_slots)
         u_finite = rng.random(n_slots)
         u_success = rng.random(n_slots)
         for sl in _blocks(n_slots):     # each block overwrites the gamma_e it used
             ge, gk = gamma_e[sl], gamma_k[sl]
             wedge = (u_finite[sl] < finite_mass) & (gk >= ge)
             log2_u = (np.log2(1.0 + gk) - np.log2(1.0 + ge)
-                      - (pen_u + secrecy.pen_e(ge)) / math.log(2.0))
+                      - (secrecy.pen_u + secrecy.pen_e(ge)) / math.log(2.0))
             bits = np.where(wedge, log2_u, FLUSH_BITS)
             gamma_e[sl] = bits * (u_success[sl] >= secrecy.epsilon_e)
         return gamma_e

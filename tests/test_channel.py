@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,24 @@ def test_env_lambda_eve_equals_per_draw_loop(seed):
     want = 1.0 / _eve_snr_per_draw(env.topology, env.fading, env.p_max / env.n_users,
                                    rng, 500)
     assert env.lambda_eve.hex() == want.hex()
+
+
+def test_eve_calibration_memory_bounded_by_bytes_not_draws(fading):
+    # a block holds as many draws as fit the byte bound, and at least one:
+    # 64 users and 256 elements take 271 KB of normals per draw, so the
+    # calibration builds one draw's links at a time
+    angles = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    users = np.c_[50.0 + 1.5 * np.cos(angles), 1.5 * np.sin(angles)]
+    big = Topology(ap_pos=(0.0, 20.0), ris_pos=(50.0, 20.0), eve_pos=(50.0, 0.0),
+                   user_pos=users, n_elements=256)
+    estimate_eve_mean_snr(big, fading, 0.5, np.random.default_rng(0), 1)
+    tracemalloc.start()
+    try:
+        estimate_eve_mean_snr(big, fading, 0.5, np.random.default_rng(1), 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------- composite

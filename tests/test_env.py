@@ -264,19 +264,17 @@ ANALYSIS_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "analysis_r
 
 
 def test_eval_determinacies_match_the_analysis_reference():
-    # 48 rows of the benchmark's reference table, one per (load, window,
-    # user, power) with codeword and blocklength varying: all six envs and
-    # both cost families (the two low powers converge at orders 16/32, the
-    # two high ones need 128); bounds and varpi within 1e-6, as the
-    # benchmark checks them
+    # every row of the benchmark's reference table: six envs, all users,
+    # powers, codewords and blocklengths, and both cost families (the two
+    # low powers converge at orders 16/32, the two high ones need 128).
+    # Bounds and varpi within 1e-6, as the benchmark checks them, and both
+    # bounds within 1e-9 relative: 336 rows have bound_tmax below 1e-4, where
+    # 1e-6 absolute lets the bound drift by 1% or more
     table = json.loads(ANALYSIS_TABLE.read_text(encoding="utf-8"))
     rows = [dict(zip(table["columns"], r)) for r in table["rows"]]
     assert len(rows) == 1536
-    sample = [rows[32 * k + (11 * k) % 32] for k in range(48)]
-    assert len({(r["lam"], r["t_min"], r["user"], r["power_index"]) for r in sample}) == 48
-    assert len({r["codeword"] for r in sample}) == 4
     envs = {}
-    for row in sample:
+    for row in rows:
         key = (row["lam"], row["t_min"], row["t_max"])
         if key not in envs:
             cfg = rd.default_config()
@@ -289,4 +287,7 @@ def test_eval_determinacies_match_the_analysis_reference():
                         row["codeword"], row["blocklength"], profile="eval")
         for name in ("bound_tmin", "bound_tmax", "varpi"):
             assert abs(getattr(res, name) - row[name]) <= 1e-6, (row, name)
+        for name in ("bound_tmin", "bound_tmax"):
+            want = row[name]
+            assert abs(getattr(res, name) - want) <= 1e-9 * abs(want), (row, name)
     assert len(envs) == 6
