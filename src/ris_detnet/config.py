@@ -18,8 +18,7 @@ import numpy as np
 
 from .channel import FadingParams, Topology
 from .fbc import SecrecyParams
-from .mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow, QuadratureSpec,
-                     SearchSpec)
+from .mellin import QUADRATURE_PROFILES, ArrivalModel, DelayWindow, QuadratureSpec
 
 
 class ConfigError(ValueError):
@@ -244,11 +243,6 @@ class ScenarioConfig:
 
     def build_quadrature(self, profile: str) -> QuadratureSpec:
         return QUADRATURE_PROFILES[profile]
-
-    def build_search(self, profile: str | None = None) -> SearchSpec:
-        """Search controls; both quadrature profiles search alike, since the
-        Newton searches converge to their stated tolerances."""
-        return SearchSpec()
 
     @property
     def n_ceiling(self) -> float:

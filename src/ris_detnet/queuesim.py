@@ -6,15 +6,14 @@ Lindley backlog recursion is evaluated in closed form (cumulative arrivals
 minus cumulative service, less its running minimum) and per-packet delays
 are recovered from cumulative departures.
 
-Every random variate is drawn whole-length, one generator call each in a
-fixed order, so the stream is that of a single pass over the horizon.  The
-work after the draws -- the samplers' rate formulas and the Lindley pass --
-runs in blocks of BLOCK_SLOTS slots that stay in the L2 cache.  The Lindley
-pass carries four values across block boundaries: the arrival count, the
-service sum and the running minimum and maximum; each float carry is folded
-into the block's first element before the running sum or extremum, so every
-sequential sum is bit-identical to one whole-array pass.  Delays are looked
-up only for the analysed packets.
+The horizon is simulated in blocks of BLOCK_SLOTS slots that stay in the L2
+cache.  Each block draws its Poisson arrivals, then asks the sampler for its
+service, then takes its Lindley step, so no array spans the horizon and the
+run stops once every analysed packet has departed.  The pass carries four
+values across block boundaries: the arrival count, the service sum and the
+running minimum and maximum; each float carry is folded into the block's
+first element before the running sum or extremum, so every sequential sum is
+bit-identical to one whole-array pass over the same draws.
 
 Two samplers are provided: the physical one (n_k * clamped secrecy rate on
 decode success, 0 on failure) and a model-matched one that serves exactly
@@ -75,57 +74,61 @@ class QueueResult:
         return self._share((self.delays > t_min) & (self.delays < t_max))
 
 
-def _blocks(n_slots: int):
-    """Consecutive slices of at most BLOCK_SLOTS slots covering [0, n_slots)."""
-    return (slice(i, i + BLOCK_SLOTS) for i in range(0, n_slots, BLOCK_SLOTS))
-
-
 def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
                    n_packets: int, rng: np.random.Generator,
                    warmup_slots: int = WARMUP_SLOTS,
                    censor_margin: int = CENSOR_SLOTS) -> QueueResult:
     """Run the fluid-bit FCFS queue and collect packet delays.
 
-    Simulates ``horizon_slots`` slots; packets arriving inside
+    Simulates at most ``horizon_slots`` slots; packets arriving inside
     [warmup_slots, horizon - censor_margin) are analysed, truncated to the
     first ``n_packets``.  Arrivals join at the start of a slot and can be
     served within it: a packet arriving and fully served in slot t has
-    virtual delay 0 (sojourn 1).
+    virtual delay 0 (sojourn 1).  ``service_sampler(rng, n)`` is called once
+    per block with the block's length and returns its n service values.
     """
     t_slots = int(horizon_slots)
-    arrivals = rng.poisson(arrival.lambda_pkts, t_slots)
-    service = np.asarray(service_sampler(rng, t_slots), dtype=float)
-    if service.shape != (t_slots,):
-        raise ValueError("service sampler must return one value per slot")
-
     x = float(arrival.pkt_bits)
     # the analysed slots [lo, hi), clipped to the horizon
     lo = min(max(warmup_slots, 0), t_slots)
     hi = min(max(t_slots - censor_margin, lo), t_slots)
-    pkt_slot = np.repeat(np.arange(lo, hi), arrivals[lo:hi])[:n_packets]
-    first = int(arrivals[:lo].sum())     # packets that arrived before slot lo
-    pkt_level = x * np.arange(first + 1, first + pkt_slot.size + 1)
-    dep_idx = np.full(pkt_slot.size, t_slots)
-    # a flush slot only ever needs to drain the whole offered load; capping
-    # there keeps the cumulative sums small enough for exact float arithmetic
-    flush_cap = int(arrivals.sum()) * x + x
+    n_left = n_packets                  # analysed packets yet to arrive
+    # analysed packets still queued: arrival slots and cumulative bit levels
+    wait_slot, wait_level = np.empty(0, dtype=np.int64), np.empty(0)
+    slots, deps = [], []                # departed ones, per block
 
     # carries: arrivals so far, then the service sum, running minimum and
     # departures at the end of the previous block (each starts neutral)
     n_arr, c_srv, c_min, c_dep = 0, -0.0, np.inf, -np.inf
-    done = 0        # leading analysed packets whose departure slot is known
-    for sl in _blocks(t_slots):
-        if done == pkt_level.size:      # later slots serve no analysed packet
-            break
-        cum_arr = np.cumsum(arrivals[sl])
+    for start in range(0, t_slots, BLOCK_SLOTS):
+        if wait_level.size == 0 and (start >= hi or n_left <= 0):
+            break                       # later slots serve no analysed packet
+        n = min(BLOCK_SLOTS, t_slots - start)
+        arrivals = rng.poisson(arrival.lambda_pkts, n)
+        service = np.asarray(service_sampler(rng, n), dtype=float)
+        if service.shape != (n,):
+            raise ValueError("service sampler must return one value per slot")
+        cum_arr = np.cumsum(arrivals)
         cum_arr += n_arr
+        a, b = min(max(lo - start, 0), n), min(max(hi - start, 0), n)
+        if a < b and n_left > 0:        # the block's analysed arrivals
+            new_slot = np.repeat(np.arange(start + a, start + b),
+                                 arrivals[a:b])[:n_left]
+            first = int(cum_arr[a - 1]) if a else n_arr  # arrived before them
+            wait_slot = np.concatenate((wait_slot, new_slot))
+            wait_level = np.concatenate(
+                (wait_level, x * np.arange(first + 1, first + new_slot.size + 1)))
+            n_left -= new_slot.size
         n_arr = int(cum_arr[-1])
-        cum_srv = np.where(service[sl] >= FLUSH_BITS, flush_cap, service[sl])
+        # Lindley in closed form: backlog(t) = Y(t) - min_{u<=t} Y(u), Y = A - C
+        run_min = cum_arr * x
+        # a flush slot only ever needs to drain what has arrived so far;
+        # capping there keeps the cumulative sums small enough for exact
+        # float arithmetic
+        cum_srv = np.where(service >= FLUSH_BITS, run_min + x, service)
         cum_srv[0] = c_srv + cum_srv[0]
         np.cumsum(cum_srv, out=cum_srv)
         c_srv = cum_srv[-1]
-        # Lindley in closed form: backlog(t) = Y(t) - min_{u<=t} Y(u), Y = A - C
-        run_min = cum_arr * x
         run_min -= cum_srv
         np.minimum(run_min, 0.0, out=run_min)
         run_min[0] = np.minimum(c_min, run_min[0])
@@ -135,14 +138,17 @@ def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
         departures[0] = np.maximum(c_dep, departures[0])
         np.maximum.accumulate(departures, out=departures)  # departed bits never recede
         c_dep = departures[-1]
-        # pending packets whose level the block's last departure reaches
+        # waiting packets whose level the block's last departure reaches
         # leave inside this block
-        stop = done + int(np.searchsorted(pkt_level[done:], c_dep, side="right"))
-        dep_idx[done:stop] = sl.start + np.searchsorted(
-            departures, pkt_level[done:stop], side="left")
-        done = stop
+        stop = int(np.searchsorted(wait_level, c_dep, side="right"))
+        slots.append(wait_slot[:stop])
+        deps.append(start + np.searchsorted(departures, wait_level[:stop], side="left"))
+        wait_slot, wait_level = wait_slot[stop:], wait_level[stop:]
 
-    delay = (dep_idx - pkt_slot).astype(float)
+    slots.append(wait_slot)             # not departed within the horizon
+    deps.append(np.full(wait_slot.size, t_slots))
+    dep_idx = np.concatenate(deps)
+    delay = (dep_idx - np.concatenate(slots)).astype(float)
     delay[dep_idx >= t_slots] = np.inf
     return QueueResult(delay, t_slots, warmup_slots)
 
@@ -166,12 +172,8 @@ def fbc_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
     def sampler(rng: np.random.Generator, n_slots: int) -> np.ndarray:
         gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
         re, im = _rice_parts(stats, rng, n_slots)
-        u_success = rng.random(n_slots)
-        for sl in _blocks(n_slots):     # each block overwrites the gamma_e it used
-            gamma_k = re[sl] ** 2 + im[sl] ** 2
-            rate = fbc_secrecy_rate(gamma_k, gamma_e[sl], secrecy)
-            gamma_e[sl] = n_mult * rate * (u_success[sl] >= secrecy.epsilon_e)
-        return gamma_e
+        rate = fbc_secrecy_rate(re ** 2 + im ** 2, gamma_e, secrecy)
+        return n_mult * rate * (rng.random(n_slots) >= secrecy.epsilon_e)
 
     return sampler
 
@@ -190,15 +192,10 @@ def model_matched_service_sampler(stats: LinkStats, secrecy: SecrecyParams):
     def sampler(rng: np.random.Generator, n_slots: int) -> np.ndarray:
         gamma_e = rng.exponential(1.0 / stats.lambda_eve, n_slots)
         gamma_k = rng.exponential(stats.snr_scale, n_slots)
-        u_finite = rng.random(n_slots)
-        u_success = rng.random(n_slots)
-        for sl in _blocks(n_slots):     # each block overwrites the gamma_e it used
-            ge, gk = gamma_e[sl], gamma_k[sl]
-            wedge = (u_finite[sl] < finite_mass) & (gk >= ge)
-            log2_u = (np.log2(1.0 + gk) - np.log2(1.0 + ge)
-                      - (secrecy.pen_u + secrecy.pen_e(ge)) / math.log(2.0))
-            bits = np.where(wedge, log2_u, FLUSH_BITS)
-            gamma_e[sl] = bits * (u_success[sl] >= secrecy.epsilon_e)
-        return gamma_e
+        wedge = (rng.random(n_slots) < finite_mass) & (gamma_k >= gamma_e)
+        log2_u = (np.log2(1.0 + gamma_k) - np.log2(1.0 + gamma_e)
+                  - (secrecy.pen_u + secrecy.pen_e(gamma_e)) / math.log(2.0))
+        bits = np.where(wedge, log2_u, FLUSH_BITS)
+        return bits * (rng.random(n_slots) >= secrecy.epsilon_e)
 
     return sampler

@@ -16,8 +16,9 @@ from ris_detnet.agents import (AgentConfig, DqnAgent, SidPdqnAgent,
 from ris_detnet.channel import LinkStats
 from ris_detnet.env import RisDownlinkEnv
 from ris_detnet.fbc import SecrecyParams, fbc_secrecy_rate, q_inv, secrecy_capacity
-from ris_detnet.mellin import (ArrivalModel, ServiceModel, kernel, lemma1_kernel,
-                               service_mellin_u, stability_smax, violation_bound)
+from ris_detnet.mellin import (ArrivalModel, SearchSpec, ServiceModel, kernel,
+                               lemma1_kernel, service_mellin_u, stability_smax,
+                               violation_bound)
 from ris_detnet.neural import Mlp
 from ris_detnet.queuesim import (fbc_service_sampler,
                                  model_matched_service_sampler, simulate_queue)
@@ -85,7 +86,7 @@ def test_criterion_1_bound_dominance_model_matched():
             for t in (env.window.t_min, env.window.t_max):
                 emp, ci = res.tail_prob(t)
                 bound = violation_bound(t, arrival, service,
-                                        cfg.build_search("eval")).bound
+                                        SearchSpec()).bound
                 assert emp <= bound + 2 * ci, \
                     f"seed {seed} user {user} t={t}: {emp:.5f} > {bound:.5f}"
     print("CRITERION 1a PASS: model-matched queue dominated on 3 seeds x 2 users")
@@ -114,7 +115,7 @@ def test_criterion_1_bound_dominance_physical():
             for t in (env.window.t_min, env.window.t_max):
                 emp, ci = res.tail_prob(t)
                 bound = violation_bound(t, arrival, service,
-                                        cfg.build_search("eval")).bound
+                                        SearchSpec()).bound
                 assert emp <= bound + 2 * ci, \
                     f"seed {seed} user {user} t={t}: {emp:.5f} > {bound:.5f}"
     print("CRITERION 1b PASS: physical queue dominated on 3 seeds x 2 users")

@@ -9,7 +9,7 @@ from ris_detnet.channel import LinkStats, PhaseShiftConfig, composite_gain
 from ris_detnet.env import (HybridAction, RisDownlinkEnv, StateVector,
                             build_codebook)
 from ris_detnet.fbc import SecrecyParams
-from ris_detnet.mellin import ServiceModel, delay_determinacy
+from ris_detnet.mellin import SearchSpec, ServiceModel, delay_determinacy
 
 
 def scenario(n_users=2, **overrides):
@@ -185,7 +185,7 @@ def test_step_reward_matches_direct_determinacy():
             service = ServiceModel(stats, cfg.build_secrecy(n_q),
                                    cfg.build_quadrature(profile))
             res = delay_determinacy(env.window, env.arrival, service,
-                                    cfg.build_search(profile))
+                                    SearchSpec())
             assert out.per_user_varpi[k] == pytest.approx(res.varpi, rel=1e-9)
 
 

@@ -650,7 +650,7 @@ def test_determinacy_h_evaluation_count():
     for make in users:
         service = make()
         delay_determinacy(window, cfg.build_arrival(), service,
-                          cfg.build_search("eval"))
+                          SearchSpec())
         assert len(service._h_cache) <= 26
 
 
@@ -662,7 +662,7 @@ def test_stability_edge_h_evaluation_count():
     for make in users:
         service = make()
         delay_determinacy(window, cfg.build_arrival(), service,
-                          cfg.build_search("eval"))
+                          SearchSpec())
         assert len(service._h_cache) <= 6
 
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ris_detnet.channel import LinkStats
+from ris_detnet.config import default_config
+from ris_detnet.env import RisDownlinkEnv
 from ris_detnet.fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_inv
 from ris_detnet.mellin import ArrivalModel, ServiceModel, violation_bound
 from ris_detnet.queuesim import (BLOCK_SLOTS, FLUSH_BITS, QueueResult, _rice_parts,
@@ -45,8 +48,7 @@ def whole_array_queue(arrival, service_sampler, horizon_slots, n_packets, rng,
     service = np.asarray(service_sampler(rng, t_slots), dtype=float)
     x = float(arrival.pkt_bits)
     cum_arr = np.cumsum(arrivals) * x
-    flush_cap = cum_arr[-1] + x if cum_arr.size else x
-    cum_srv = np.cumsum(np.where(service >= FLUSH_BITS, flush_cap, service))
+    cum_srv = np.cumsum(np.where(service >= FLUSH_BITS, cum_arr + x, service))
     y = cum_arr - cum_srv
     run_min = np.minimum.accumulate(np.minimum(y, 0.0))
     departures = np.maximum.accumulate(cum_srv + run_min)
@@ -99,6 +101,18 @@ def whole_array_model_sampler(stats, secrecy):
     return sampler
 
 
+def cursor_sampler(service):
+    """A sampler that serves the next n values of ``service`` on each call."""
+    pos = 0
+
+    def sampler(_rng, n):
+        nonlocal pos
+        pos += n
+        return service[pos - n:pos]
+
+    return sampler
+
+
 EDGE_HORIZONS = [0, 1, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 1]
 
 
@@ -136,11 +150,10 @@ def test_block_queue_equals_whole_array_pass(horizon, lam, load, flush_share,
     neg = svc_rng.random(horizon) < neg_share
     service[neg] = -np.abs(service[neg])
     service[svc_rng.random(horizon) < flush_share] = FLUSH_BITS
-    sampler = lambda _rng, n: service[:n]
     arrival = ArrivalModel(lam, x)
-    got = simulate_queue(arrival, sampler, horizon, n_packets,
+    got = simulate_queue(arrival, cursor_sampler(service), horizon, n_packets,
                          np.random.default_rng(seed), warmup, censor)
-    want = whole_array_queue(arrival, sampler, horizon, n_packets,
+    want = whole_array_queue(arrival, cursor_sampler(service), horizon, n_packets,
                              np.random.default_rng(seed), warmup, censor)
     assert got.delays.dtype == want.delays.dtype
     assert np.array_equal(got.delays, want.delays)
@@ -150,8 +163,8 @@ def test_block_queue_equals_whole_array_pass(horizon, lam, load, flush_share,
 @pytest.mark.parametrize("n_slots", EDGE_HORIZONS + [3 * BLOCK_SLOTS + 7])
 @pytest.mark.parametrize("kind", ["physical", "model"])
 def test_block_samplers_equal_whole_array_samplers(kind, n_slots):
-    # each sampler draws whole-length in the old order and applies its
-    # formulas per block: same bits, and the stream ends in the same place
+    # one sampler call draws its n slots in the old order and applies the
+    # old formulas: same bits, and the stream ends in the same place
     if kind == "model":
         fast = model_matched_service_sampler(STATS, SECRECY)
         slow = whole_array_model_sampler(STATS, SECRECY)
@@ -166,6 +179,73 @@ def test_block_samplers_equal_whole_array_samplers(kind, n_slots):
     if kind == "model" and n_slots > BLOCK_SLOTS:
         # the cases the block code must carry: flushes and negative service
         assert np.any(got >= FLUSH_BITS) and np.any(got < 0.0)
+
+
+@pytest.mark.parametrize("kind", ["model", "physical"])
+def test_slot_block_stream_matches_whole_length_stream(kind):
+    # the oracle draws per slot block, so its random stream differs from
+    # the whole-length one the test oracles compose; on the reference link
+    # statistics both estimate the same tail probabilities within Monte-Carlo
+    # error (4 combined 95% half-widths), seeds as simulate draws them
+    cfg = default_config()
+    env = RisDownlinkEnv(cfg)
+    power, cbl = env.p_max / env.n_users, env.n_max / env.n_users
+    secrecy = cfg.build_secrecy(cbl)
+    new_sampler, old_sampler = {
+        "model": (model_matched_service_sampler, whole_array_model_sampler),
+        "physical": (fbc_service_sampler, whole_array_physical_sampler)}[kind]
+    n_pkt = 100_000
+    horizon = int(n_pkt / env.arrival.lambda_pkts * 1.3) + 2000
+    for user in range(env.n_users):
+        stats = env.link_stats(user, power, 0)
+        for seed in (1, 2, 3):
+            new = simulate_queue(env.arrival, new_sampler(stats, secrecy), horizon,
+                                 n_pkt, np.random.default_rng([seed, 40, user]))
+            old = whole_array_queue(env.arrival, old_sampler(stats, secrecy), horizon,
+                                    n_pkt, np.random.default_rng([seed, 40, user]))
+            assert new.n_packets == old.n_packets == n_pkt
+            for t in (2, 8):
+                (p_new, ci_new), (p_old, ci_old) = new.tail_prob(t), old.tail_prob(t)
+                assert abs(p_new - p_old) <= 4 * math.hypot(ci_new, ci_old), \
+                    f"user {user} seed {seed} t={t}: {p_new} vs {p_old}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(blocks=st.integers(1, 3), kind=st.sampled_from(["model", "physical"]),
+       lam=st.sampled_from([0.02, 0.08, 0.3]), n_packets=st.integers(1, 6000),
+       warmup=st.integers(0, BLOCK_SLOTS), censor=st.integers(0, BLOCK_SLOTS),
+       seed=st.integers(0, 2 ** 16))
+def test_horizon_only_caps_the_stream(blocks, kind, lam, n_packets, warmup, censor,
+                                      seed):
+    # a horizon H of whole blocks whose run analyses every packet asked for
+    # and sees each depart: the run at 4H draws the same blocks, analyses the
+    # same packets and stops at the same slot, so every delay bit agrees
+    make = model_matched_service_sampler if kind == "model" else fbc_service_sampler
+    arrival = ArrivalModel(lam, 16)
+    horizon = blocks * BLOCK_SLOTS
+
+    def run(h):
+        return simulate_queue(arrival, make(STATS, SECRECY), h, n_packets,
+                              np.random.default_rng(seed), warmup, censor)
+
+    short = run(horizon)
+    assume(short.n_packets == n_packets and np.all(np.isfinite(short.delays)))
+    assert np.array_equal(short.delays, run(4 * horizon).delays)
+
+
+def test_peak_memory_does_not_grow_with_horizon():
+    # 4M slots of the physical sampler at a light load, so the queue never
+    # stops early: whole-length draws would need 32 MB per array, the slot
+    # blocks keep only a block's temporaries alive
+    tracemalloc.start()
+    try:
+        res = simulate_queue(ArrivalModel(0.001, 16), fbc_service_sampler(STATS, SECRECY),
+                             4_000_000, 10 ** 9, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_packets > 3000
+    assert peak < 24 * 8 * BLOCK_SLOTS
 
 
 def test_overwhelming_service_all_sojourns_one():
