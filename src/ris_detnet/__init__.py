@@ -9,7 +9,7 @@ from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
 from .env import ActionCodebook, HybridAction, RisDownlinkEnv, StateVector, build_codebook
 from .fbc import SecrecyParams, dispersion, fbc_secrecy_rate, q_inv, secrecy_capacity
 from .mellin import (ArrivalModel, DelayWindow, DeterminacyResult, QuadratureError,
-                     QuadratureSpec, SearchError, SearchSpec, ServiceModel,
+                     QuadratureSpec, SearchError, ServiceModel,
                      StabilityError, arrival_mellin, delay_determinacy, kernel,
                      lemma1_kernel, service_mellin_u, stability_smax, violation_bound)
 from .queuesim import (QueueResult, fbc_service_sampler,

@@ -369,7 +369,7 @@ def delta_sq_closed_form(topology: Topology, fading: FadingParams, user: int) ->
 
 
 def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
-                          rng: np.random.Generator, n_draws: int = 2000) -> float:
+                          rng: np.random.Generator, n_draws: int) -> float:
     """Mean simulated Eve SNR under random phase configs; 1/lambda_Eve.
 
     Each draw takes a realization's normals and then a random phase config

@@ -64,10 +64,7 @@ def _fixed_allocation(cfg: ScenarioConfig, env: RisDownlinkEnv):
     power = env.p_max / k if power is None else float(power)
     cbl = cfg.get("allocation", "cbl")
     cbl = env.n_max / k if cbl is None else float(cbl)
-    codeword = cfg.get("allocation", "codeword")
-    if not 0 <= codeword < len(env.codebook.phase_codewords):
-        raise ConfigError("[allocation] codeword index out of range")
-    return power, codeword, cbl
+    return power, cfg.get("allocation", "codeword"), cbl
 
 
 def analyze_rows(cfg: ScenarioConfig):

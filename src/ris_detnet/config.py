@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import FadingParams, Topology
 from .fbc import SecrecyParams
-from .mellin import QUADRATURE_PROFILES, ArrivalModel, DelayWindow, QuadratureSpec
+from .mellin import ArrivalModel, DelayWindow
 
 
 class ConfigError(ValueError):
@@ -241,9 +241,6 @@ class ScenarioConfig:
     def build_window(self) -> DelayWindow:
         return DelayWindow(self.get("delay", "t_min"), self.get("delay", "t_max"))
 
-    def build_quadrature(self, profile: str) -> QuadratureSpec:
-        return QUADRATURE_PROFILES[profile]
-
     @property
     def n_ceiling(self) -> float:
         explicit = self.get("codebook", "n_ceiling")
@@ -320,6 +317,12 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("[allocation] power must be positive")
     if alloc["cbl"] is not None and alloc["cbl"] < 1:
         raise ConfigError("[allocation] cbl must be >= 1")
+    if not 0 <= alloc["codeword"] < cb["n_codewords"]:
+        raise ConfigError(f"[allocation] codeword = {alloc['codeword']} must be in "
+                          f"[0, [codebook] n_codewords = {cb['n_codewords']})")
+    penalty = values["env"]["violation_penalty"]
+    if penalty < 0:
+        raise ConfigError(f"[env] violation_penalty = {penalty:g} must be >= 0")
     if values["run"]["seed"] < 0:
         raise ConfigError("[run] seed must be >= 0")
     ag = values["agent"]

@@ -162,7 +162,6 @@ class RisDownlinkEnv:
         self.window = config.build_window()
         self.violation_penalty = config.get("env", "violation_penalty")
         self.observe_eve = config.get("env", "observe_eve")
-        self.episode_steps = config.get("env", "episode_steps")
 
         g_los, f_user_los, _ = los_components(self.topology, self.fading)
         align_user = config.get("codebook", "align_user")

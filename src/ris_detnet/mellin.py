@@ -51,10 +51,20 @@ LN2 = math.log(2.0)
 # mapped variable is e^-40
 OUTER_TRUNCATION_MULT = 40.0
 INNER_TRUNCATION_MULT = 40.0
+# H(s) order doubling starts at this Gauss-Legendre order
+BASE_ORDER = 16
+# search controls for the stability edge and the kernel infimum: the edge is
+# located to within BISECT_TOL on its stable side, and an edge beyond S_CAP
+# is reported as S_CAP; the infimum is searched on
+# [S_FLOOR, s_max * (1 - S_MAX_MARGIN)]
+S_FLOOR = 1e-4
+S_MAX_MARGIN = 1e-6
+BISECT_TOL = 1e-8
+S_CAP = 64.0
 # the infimum search stops once its Newton model predicts that log K can fall
 # by no more than this (the bound is then within about this share of the
-# infimum), or once the Newton step is below SearchSpec.bisect_tol, which
-# keeps rounding noise in K near the minimum from stalling it
+# infimum), or once the Newton step is below BISECT_TOL, which keeps rounding
+# noise in K near the minimum from stalling it
 LOG_K_TOL = 1e-14
 MAX_SEARCH_STEPS = 100
 # the shared H(s) quadrature geometry is kept up to this many bytes of
@@ -112,7 +122,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-14
     max_subdivisions: int = 8
-    base_order: int = 16
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -127,25 +136,6 @@ QUADRATURE_PROFILES = {
     "train": QuadratureSpec(rel_tol=1e-3, abs_tol=1e-12, max_subdivisions=6),
     "eval": QuadratureSpec(),
 }
-
-
-@dataclass
-class SearchSpec:
-    """Search controls for the stability edge and the kernel infimum.
-
-    The edge is located to within ``bisect_tol`` on its stable side; an
-    edge beyond ``s_cap`` is reported as ``s_cap``.  The infimum is searched
-    on [s_floor, s_max * (1 - s_max_margin)].
-    """
-
-    s_floor: float = 1e-4
-    s_max_margin: float = 1e-6
-    bisect_tol: float = 1e-8
-    s_cap: float = 64.0
-
-    def __post_init__(self):
-        if not 0 < self.s_floor < self.s_cap:
-            raise ValueError("s_floor must be in (0, s_cap)")
 
 
 @dataclass
@@ -414,7 +404,7 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     if cached is not None:
         return cached[:2]
     spec = model.quadrature
-    order = spec.base_order
+    order = BASE_ORDER
     prev = None
     entry = None
     for _ in range(spec.max_subdivisions):
@@ -536,8 +526,7 @@ def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
     return hi
 
 
-def stability_smax(arrival: ArrivalModel, service: ServiceModel,
-                   search: SearchSpec | None = None) -> float | None:
+def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None:
     """Right edge of the stability interval, or None when it is empty.
 
     The product is probed at the floor; if already >= 1 there the interval
@@ -552,21 +541,18 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel,
       there, so the root of A plus that chord is a lower bound.
 
     Each step probes the tighter upper bound (from the floor it lands just
-    past the edge), or the lower bound once the two are within
-    ``bisect_tol``, or lo + ``bisect_tol`` once the upper bound is that
-    close to lo.  A bound past ``s_cap`` probes ``s_cap`` itself, which is
-    returned when stable.  Far past the edge H may not converge (at high
-    rho the upper bound from the floor can overshoot there): a probe more
-    than twice the stable side that raises QuadratureError only caps the
-    later probes, which then halve the gap to it; a failure within twice
-    the stable side, where a doubling climb would probe too, is raised.
-    Returns the stable side of a probed bracket no wider than
-    ``bisect_tol``; raises SearchError when MAX_SEARCH_STEPS probes do not
-    close it.
+    past the edge), or the lower bound once the two are within BISECT_TOL,
+    or lo + BISECT_TOL once the upper bound is that close to lo.  A bound
+    past S_CAP probes S_CAP itself, which is returned when stable.  Far
+    past the edge H may not converge (at high rho the upper bound from the
+    floor can overshoot there): a probe more than twice the stable side
+    that raises QuadratureError only caps the later probes, which then
+    halve the gap to it; a failure within twice the stable side, where a
+    doubling climb would probe too, is raised.  Returns the stable side of
+    a probed bracket no wider than BISECT_TOL; raises SearchError when
+    MAX_SEARCH_STEPS probes do not close it.
     """
-    search = search or SearchSpec()
     rate, scale = _arrival_exponent(arrival)
-    tol = search.bisect_tol
 
     def probe(s):
         m_arr, m_srv, _, (d_srv, _) = _transforms(s, arrival, service)
@@ -576,7 +562,7 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel,
         """Root of A plus the line through (x, l_x) with the given slope."""
         return _exact_arrival_root(rate, scale, l_x - slope * x, slope, lo, hi)
 
-    lo = search.s_floor
+    lo = S_FLOOR
     stable, l_lo, g_lo = probe(lo)
     if not stable:
         return None
@@ -586,15 +572,15 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel,
         upper = model_root(l_lo, g_lo, lo, lo, hi)
         if hi < math.inf:
             upper = min(upper, model_root(l_hi, g_hi, hi, lo, hi))
-        if upper - lo <= tol:
-            s = lo + tol
+        if upper - lo <= BISECT_TOL:
+            s = lo + BISECT_TOL
         else:
             s = upper
             if hi < math.inf:
                 lower = model_root(l_lo, (l_hi - l_lo) / (hi - lo), lo, lo, hi)
-                if lo < lower and upper - lower <= tol:
+                if lo < lower and upper - lower <= BISECT_TOL:
                     s = lower
-        s = min(s, search.s_cap)
+        s = min(s, S_CAP)
         top = min(hi, ceiling)
         if not lo < s < top:
             s = 0.5 * (lo + top)
@@ -606,12 +592,12 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel,
             ceiling = s
             continue
         if stable:
-            if s == search.s_cap:
+            if s == S_CAP:
                 return s
             lo, l_lo, g_lo = s, l_s, g_s
         else:
             hi, l_hi, g_hi = s, l_s, g_s
-        if hi - lo <= tol:
+        if hi - lo <= BISECT_TOL:
             return lo
     raise SearchError(f"stability edge not bracketed within {MAX_SEARCH_STEPS} "
                       f"probes: stable at {lo:.17g}, unstable at {hi:.17g}")
@@ -636,12 +622,11 @@ def _log_kernel_probe(s, horizon, arrival, service):
 
 
 def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
-                    search: SearchSpec | None = None,
                     s_max: float | None = None) -> ViolationBound:
     """min(1, inf_{s in stability interval} K(s, T)) with the optimizing s.
 
-    log K is convex, so its infimum on [s_floor, hi] with
-    hi = s_max*(1 - s_max_margin) is the floor when d/ds log K >= 0 there,
+    log K is convex, so its infimum on [S_FLOOR, hi] with
+    hi = s_max*(1 - S_MAX_MARGIN) is the floor when d/ds log K >= 0 there,
     else the root of d/ds log K.  Every H value already cached on the
     interval (the stability search, another horizon) is a free probe that
     narrows the bracket; safeguarded Newton steps from the best probe then
@@ -650,14 +635,13 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
     converged H values.  An empty stability interval yields the vacuous
     bound 1.
     """
-    search = search or SearchSpec()
     if s_max is None:
-        s_max = stability_smax(arrival, service, search)
+        s_max = stability_smax(arrival, service)
     if s_max is None:
-        return ViolationBound(1.0, search.s_floor, math.nan, True, math.inf)
+        return ViolationBound(1.0, S_FLOOR, math.nan, True, math.inf)
 
-    lo_end = search.s_floor
-    hi_end = max(lo_end, s_max * (1.0 - search.s_max_margin))
+    lo_end = S_FLOOR
+    hi_end = max(lo_end, s_max * (1.0 - S_MAX_MARGIN))
     probes = {}
 
     def probe(s):
@@ -677,7 +661,7 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
         else:
             hi = min(hi, s)
     for _ in range(MAX_SEARCH_STEPS):
-        if hi - lo <= search.bisect_tol:
+        if hi - lo <= BISECT_TOL:
             if hi not in probes:
                 probe(hi)
             break
@@ -686,7 +670,7 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
         s = math.nan
         if 0.0 < f2 < math.inf:
             step = f1 / f2
-            if 0.5 * f1 * step <= LOG_K_TOL or abs(step) <= search.bisect_tol:
+            if 0.5 * f1 * step <= LOG_K_TOL or abs(step) <= BISECT_TOL:
                 break
             s = s_best - step
         if not lo < s < hi:
@@ -698,14 +682,13 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
     s_star = min(probes, key=lambda x: probes[x][0])
     f_star = probes[s_star][0]
     if not math.isfinite(f_star):
-        return ViolationBound(1.0, search.s_floor, s_max, True, math.inf)
+        return ViolationBound(1.0, S_FLOOR, s_max, True, math.inf)
     return ViolationBound(min(1.0, f_star), float(s_star), float(s_max), False,
                           float(f_star))
 
 
 def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
-                      service: ServiceModel,
-                      search: SearchSpec | None = None) -> DeterminacyResult:
+                      service: ServiceModel) -> DeterminacyResult:
     """Window-determinacy bound: clamped inf-kernel difference of Lemma form.
 
     varpi = bound(t_min) - bound(t_max), clamped to [0, 1]; ordering_ok
@@ -715,11 +698,10 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     s_star_tmax, so probes that no bound uses do not move it.  The model's
     quadrature tensors are released on return; its H values stay cached.
     """
-    search = search or SearchSpec()
     try:
-        s_max = stability_smax(arrival, service, search)
-        b_min = violation_bound(window.t_min, arrival, service, search, s_max=s_max)
-        b_max = violation_bound(window.t_max, arrival, service, search, s_max=s_max)
+        s_max = stability_smax(arrival, service)
+        b_min = violation_bound(window.t_min, arrival, service, s_max=s_max)
+        b_max = violation_bound(window.t_max, arrival, service, s_max=s_max)
     finally:
         service._h_tensors.clear()
     ordering_ok = b_max.bound <= b_min.bound + 1e-12

@@ -51,7 +51,6 @@ class QueueResult:
 
     delays: np.ndarray
     n_slots: int
-    warmup_slots: int
 
     @property
     def n_packets(self) -> int:
@@ -75,13 +74,11 @@ class QueueResult:
 
 
 def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
-                   n_packets: int, rng: np.random.Generator,
-                   warmup_slots: int = WARMUP_SLOTS,
-                   censor_margin: int = CENSOR_SLOTS) -> QueueResult:
+                   n_packets: int, rng: np.random.Generator) -> QueueResult:
     """Run the fluid-bit FCFS queue and collect packet delays.
 
     Simulates at most ``horizon_slots`` slots; packets arriving inside
-    [warmup_slots, horizon - censor_margin) are analysed, truncated to the
+    [WARMUP_SLOTS, horizon - CENSOR_SLOTS) are analysed, truncated to the
     first ``n_packets``.  Arrivals join at the start of a slot and can be
     served within it: a packet arriving and fully served in slot t has
     virtual delay 0 (sojourn 1).  ``service_sampler(rng, n)`` is called once
@@ -89,9 +86,9 @@ def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
     """
     t_slots = int(horizon_slots)
     x = float(arrival.pkt_bits)
-    # the analysed slots [lo, hi), clipped to the horizon
-    lo = min(max(warmup_slots, 0), t_slots)
-    hi = min(max(t_slots - censor_margin, lo), t_slots)
+    # the analysed slots [lo, hi)
+    lo = WARMUP_SLOTS
+    hi = t_slots - CENSOR_SLOTS
     n_left = n_packets                  # analysed packets yet to arrive
     # analysed packets still queued: arrival slots and cumulative bit levels
     wait_slot, wait_level = np.empty(0, dtype=np.int64), np.empty(0)
@@ -150,7 +147,7 @@ def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
     dep_idx = np.concatenate(deps)
     delay = (dep_idx - np.concatenate(slots)).astype(float)
     delay[dep_idx >= t_slots] = np.inf
-    return QueueResult(delay, t_slots, warmup_slots)
+    return QueueResult(delay, t_slots)
 
 
 def _rice_parts(stats: LinkStats, rng: np.random.Generator, size: int):

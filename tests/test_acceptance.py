@@ -16,7 +16,7 @@ from ris_detnet.agents import (AgentConfig, DqnAgent, SidPdqnAgent,
 from ris_detnet.channel import LinkStats
 from ris_detnet.env import RisDownlinkEnv
 from ris_detnet.fbc import SecrecyParams, fbc_secrecy_rate, q_inv, secrecy_capacity
-from ris_detnet.mellin import (ArrivalModel, SearchSpec, ServiceModel, kernel,
+from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, ServiceModel, kernel,
                                lemma1_kernel, service_mellin_u, stability_smax,
                                violation_bound)
 from ris_detnet.neural import Mlp
@@ -78,15 +78,14 @@ def test_criterion_1_bound_dominance_model_matched():
             stats = LinkStats(float(env.delta_sq[user]), float(env.upsilon[user, 0]),
                               power / env.noise_w, env.lambda_eve)
             secrecy = cfg.build_secrecy(cbl)
-            service = ServiceModel(stats, secrecy, cfg.build_quadrature("eval"))
+            service = ServiceModel(stats, secrecy, QUADRATURE_PROFILES["eval"])
             sampler = model_matched_service_sampler(stats, secrecy)
             res = simulate_queue(arrival, sampler, 1_500_000, 100_000,
                                  np.random.default_rng([seed, user]))
             assert res.n_packets >= 100_000
             for t in (env.window.t_min, env.window.t_max):
                 emp, ci = res.tail_prob(t)
-                bound = violation_bound(t, arrival, service,
-                                        SearchSpec()).bound
+                bound = violation_bound(t, arrival, service).bound
                 assert emp <= bound + 2 * ci, \
                     f"seed {seed} user {user} t={t}: {emp:.5f} > {bound:.5f}"
     print("CRITERION 1a PASS: model-matched queue dominated on 3 seeds x 2 users")
@@ -107,15 +106,14 @@ def test_criterion_1_bound_dominance_physical():
             stats = LinkStats(float(env.delta_sq[user]), float(env.upsilon[user, 0]),
                               power / env.noise_w, env.lambda_eve)
             secrecy = cfg.build_secrecy(cbl)
-            service = ServiceModel(stats, secrecy, cfg.build_quadrature("eval"))
+            service = ServiceModel(stats, secrecy, QUADRATURE_PROFILES["eval"])
             sampler = fbc_service_sampler(stats, secrecy)
             res = simulate_queue(arrival, sampler, 1_500_000, 100_000,
                                  np.random.default_rng([seed, user]))
             assert res.n_packets >= 100_000
             for t in (env.window.t_min, env.window.t_max):
                 emp, ci = res.tail_prob(t)
-                bound = violation_bound(t, arrival, service,
-                                        SearchSpec()).bound
+                bound = violation_bound(t, arrival, service).bound
                 assert emp <= bound + 2 * ci, \
                     f"seed {seed} user {user} t={t}: {emp:.5f} > {bound:.5f}"
     print("CRITERION 1b PASS: physical queue dominated on 3 seeds x 2 users")

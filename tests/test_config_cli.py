@@ -154,6 +154,10 @@ HOSTILE = [
     ("[topology]\ncarrier_wavelength = 0\n", "[topology] carrier_wavelength"),
     ("[topology]\nn_elements = -1\n", "[topology] n_elements"),
     ("[topology]\nris_pos = 0 20\n", "[topology]"),     # the RIS on the AP
+    # 4 codewords by default
+    ("[allocation]\ncodeword = 4\n", "[allocation] codeword = 4"),
+    ("[allocation]\ncodeword = -1\n", "[allocation] codeword = -1"),
+    ("[env]\nviolation_penalty = -0.1\n", "[env] violation_penalty = -0.1"),
 ]
 
 
@@ -535,6 +539,19 @@ def test_cli_sweep_single_value_matches_analyze(tmp_path):
     assert float(row["metric"]) == pytest.approx(want, abs=1e-12)
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert manifest["completed"] == [{"value": "2", "rep": 0}]
+
+
+def test_cli_sweep_codeword_out_of_range_runs_no_point(tmp_path, capsys):
+    # the bad value is the second one, and one worker runs the points in
+    # order, so a sweep that checked it only when its point ran would have
+    # run and recorded the first
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace("[run]\n", "[run]\nworkers = 1\n"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--param", "allocation.codeword", "--values", "0,9"]) == 1
+    assert capsys.readouterr().err.startswith("config error: [allocation] codeword")
+    assert not (out / "sweep_manifest.json").exists()
 
 
 def test_cli_sweep_tmin_monotone(tmp_path):

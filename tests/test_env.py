@@ -9,7 +9,7 @@ from ris_detnet.channel import LinkStats, PhaseShiftConfig, composite_gain
 from ris_detnet.env import (HybridAction, RisDownlinkEnv, StateVector,
                             build_codebook)
 from ris_detnet.fbc import SecrecyParams
-from ris_detnet.mellin import SearchSpec, ServiceModel, delay_determinacy
+from ris_detnet.mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy
 
 
 def scenario(n_users=2, **overrides):
@@ -183,9 +183,8 @@ def test_step_reward_matches_direct_determinacy():
             stats = LinkStats(float(env.delta_sq[k]), float(env.upsilon[k, alloc_cw]),
                               power / env.noise_w, env.lambda_eve)
             service = ServiceModel(stats, cfg.build_secrecy(n_q),
-                                   cfg.build_quadrature(profile))
-            res = delay_determinacy(env.window, env.arrival, service,
-                                    SearchSpec())
+                                   QUADRATURE_PROFILES[profile])
+            res = delay_determinacy(env.window, env.arrival, service)
             assert out.per_user_varpi[k] == pytest.approx(res.varpi, rel=1e-9)
 
 

@@ -12,7 +12,7 @@ from ris_detnet import mellin
 from ris_detnet.channel import LinkStats
 from ris_detnet.fbc import SecrecyParams, dispersion, q_inv
 from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
-                               QuadratureError, QuadratureSpec, SearchError, SearchSpec,
+                               QuadratureError, QuadratureSpec, SearchError,
                                ServiceModel, StabilityError,
                                arrival_mellin, delay_determinacy, kernel,
                                kernel_from_values, lemma1_kernel,
@@ -433,8 +433,7 @@ def test_kernel_bounded_by_queue_oracle():
 
 def test_stability_smax_bisection_width():
     svc = make_service()
-    search = SearchSpec()
-    s_max = stability_smax(ARRIVAL, svc, search)
+    s_max = stability_smax(ARRIVAL, svc)
     assert s_max is not None
     assert stability_product(s_max, ARRIVAL, svc) < 1.0
     assert stability_product(s_max + 1e-6, ARRIVAL, svc) >= 1.0 - 1e-9
@@ -537,15 +536,15 @@ def test_lemma_closed_form_matches_composed_kernel():
 
 # ------------------------------------------------------------- search equivalence
 
-def _reference_edge(arrival, service, search):
-    """The stability edge by doubling from s_floor and bisection of the
+def _reference_edge(arrival, service):
+    """The stability edge by doubling from S_FLOOR and bisection of the
     transform product to 1e-10; None when the floor is unstable."""
     def stable(s):
         return stability_product(s, arrival, service) < 1.0
 
-    if not stable(search.s_floor):
+    if not stable(mellin.S_FLOOR):
         return None
-    lo = hi = search.s_floor
+    lo = hi = mellin.S_FLOOR
     while stable(hi):
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-10:
@@ -554,7 +553,7 @@ def _reference_edge(arrival, service, search):
     return lo
 
 
-def _reference_determinacy(window, arrival, service, search):
+def _reference_determinacy(window, arrival, service):
     """Reference for the Newton searches, built on the public transforms only.
 
     The stability edge by doubling and bisection of the transform product;
@@ -562,11 +561,11 @@ def _reference_determinacy(window, arrival, service, search):
     refinement between the scan neighbours of its minimum.  Returns s_max
     (None when the interval is empty) and the clamped flags.
     """
-    lo = _reference_edge(arrival, service, search)
+    lo = _reference_edge(arrival, service)
     if lo is None:
         return None, (1.0, 1.0), {"tmin": True, "tmax": True, "vacuous": True,
                                   "ordering": False}
-    grid = np.geomspace(search.s_floor, lo * (1.0 - search.s_max_margin), 120)
+    grid = np.geomspace(mellin.S_FLOOR, lo * (1.0 - mellin.S_MAX_MARGIN), 120)
     raw = []
     for horizon in (window.t_min, window.t_max):
         vals = [kernel(s, horizon, arrival, service) for s in grid]
@@ -597,7 +596,7 @@ def _reference_config_services():
         (lambda k=k: ServiceModel(
             LinkStats(float(env.delta_sq[k]), float(env.upsilon[k, codeword]),
                       power / env.noise_w, env.lambda_eve),
-            cfg.build_secrecy(cbl), cfg.build_quadrature("eval")))
+            cfg.build_secrecy(cbl), QUADRATURE_PROFILES["eval"]))
         for k in range(env.n_users)]
 
 
@@ -627,18 +626,17 @@ def _equivalence_cases():
 
 @pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
 def test_search_matches_dense_scan_reference(window, arrival, make):
-    # stated tolerance: |bound difference| <= 1e-9, s_max within bisect_tol
+    # stated tolerance: |bound difference| <= 1e-9, s_max within BISECT_TOL
     # of the reference edge, identical flags, no quadrature failure
-    search = SearchSpec()
-    res = delay_determinacy(window, arrival, make(), search)
-    s_max, bounds, flags = _reference_determinacy(window, arrival, make(), search)
+    res = delay_determinacy(window, arrival, make())
+    s_max, bounds, flags = _reference_determinacy(window, arrival, make())
     assert abs(res.bound_tmin - bounds[0]) <= 1e-9
     assert abs(res.bound_tmax - bounds[1]) <= 1e-9
     assert res.clamped == flags
     if s_max is None:
         assert math.isnan(res.s_max)
     else:
-        assert abs(res.s_max - s_max) <= search.bisect_tol + 1e-10
+        assert abs(res.s_max - s_max) <= mellin.BISECT_TOL + 1e-10
         assert stability_product(res.s_max, arrival, make()) < 1.0
 
 
@@ -649,8 +647,7 @@ def test_determinacy_h_evaluation_count():
     window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
         service = make()
-        delay_determinacy(window, cfg.build_arrival(), service,
-                          SearchSpec())
+        delay_determinacy(window, cfg.build_arrival(), service)
         assert len(service._h_cache) <= 26
 
 
@@ -661,8 +658,7 @@ def test_stability_edge_h_evaluation_count():
     window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
         service = make()
-        delay_determinacy(window, cfg.build_arrival(), service,
-                          SearchSpec())
+        delay_determinacy(window, cfg.build_arrival(), service)
         assert len(service._h_cache) <= 6
 
 
@@ -672,18 +668,33 @@ def test_stability_smax_raises_when_bracket_not_closed(monkeypatch):
         stability_smax(ARRIVAL, make_service())
 
 
-def test_stability_smax_probes_s_cap():
-    # an edge past s_cap is reported as s_cap only once s_cap is probed
-    # stable; the first step from this floor would pass s_cap
+def test_stability_smax_probes_s_cap(monkeypatch):
+    # an edge past S_CAP is reported as S_CAP only once S_CAP is probed
+    # stable; the first step from this floor would pass S_CAP
     service = make_service()
     edge = stability_smax(ARRIVAL, service)
-    cap = SearchSpec(s_floor=edge / 4, s_cap=edge / 3)
+    monkeypatch.setattr(mellin, "S_CAP", edge * 1.5)
+    assert stability_smax(ARRIVAL, make_service()) == pytest.approx(
+        edge, abs=mellin.BISECT_TOL)
+    monkeypatch.setattr(mellin, "S_FLOOR", edge / 4)
+    monkeypatch.setattr(mellin, "S_CAP", edge / 3)
     service = make_service()
-    assert stability_smax(ARRIVAL, service, cap) == cap.s_cap
-    assert cap.s_cap in service._h_cache
-    below = SearchSpec(s_cap=edge * 1.5)
-    assert stability_smax(ARRIVAL, make_service(), below) == pytest.approx(
-        edge, abs=below.bisect_tol)
+    assert stability_smax(ARRIVAL, service) == mellin.S_CAP
+    assert mellin.S_CAP in service._h_cache
+
+
+def test_violation_bound_out_of_probes_stays_a_bound(monkeypatch):
+    # a kernel-infimum search that runs out of probes returns K at its best
+    # probe: never below the full search's bound, never above 1, not vacuous
+    s_max = stability_smax(ARRIVAL, make_service())
+    full = {t: violation_bound(t, ARRIVAL, make_service(), s_max=s_max).bound
+            for t in (2, 8)}
+    for steps in (0, 1):
+        monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", steps)
+        for t in (2, 8):
+            res = violation_bound(t, ARRIVAL, make_service(), s_max=s_max)
+            assert full[t] <= res.bound <= 1.0
+            assert not res.vacuous
 
 
 def test_stability_smax_steps_back_from_unconverged_overshoot(monkeypatch):
@@ -735,29 +746,28 @@ def test_error_estimate_ignores_probes_past_edge():
        variant=st.sampled_from(["standard_compound", "paper_literal"]))
 def test_stability_smax_matches_bisection_reference(lam, pkt_bits, log_rho,
                                                     blocklength, variant):
-    # the edge lies within bisect_tol of the doubling-plus-bisection edge and
+    # the edge lies within BISECT_TOL of the doubling-plus-bisection edge and
     # is stable; the search may fail to converge H only where the reference
     # fails too
     arrival = ArrivalModel(lam, pkt_bits, variant)
-    search = SearchSpec()
 
     def make():
         return make_service(blocklength=blocklength, rho=10.0 ** log_rho)
 
     try:
-        s_max = stability_smax(arrival, make(), search)
+        s_max = stability_smax(arrival, make())
     except QuadratureError:
         with pytest.raises(QuadratureError):
-            _reference_edge(arrival, make(), search)
+            _reference_edge(arrival, make())
         return
     try:
-        ref = _reference_edge(arrival, make(), search)
+        ref = _reference_edge(arrival, make())
     except QuadratureError:
         return
     if ref is None:
         assert s_max is None
         return
-    assert abs(s_max - ref) <= search.bisect_tol + 1e-10
+    assert abs(s_max - ref) <= mellin.BISECT_TOL + 1e-10
     assert stability_product(s_max, arrival, make()) < 1.0
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ris_detnet import queuesim
 from ris_detnet.channel import LinkStats
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
@@ -54,13 +56,23 @@ def whole_array_queue(arrival, service_sampler, horizon_slots, n_packets, rng,
     departures = np.maximum.accumulate(cum_srv + run_min)
     pkt_slot = np.repeat(np.arange(t_slots), arrivals)
     if pkt_slot.size == 0:
-        return QueueResult(np.empty(0), t_slots, warmup_slots)
+        return QueueResult(np.empty(0), t_slots)
     pkt_level = x * np.arange(1, pkt_slot.size + 1)
     dep_idx = np.searchsorted(departures, pkt_level, side="left")
     delay = (dep_idx - pkt_slot).astype(float)
     delay[dep_idx >= t_slots] = np.inf
     keep = (pkt_slot >= warmup_slots) & (pkt_slot < t_slots - censor_margin)
-    return QueueResult(delay[keep][:n_packets], t_slots, warmup_slots)
+    return QueueResult(delay[keep][:n_packets], t_slots)
+
+
+@contextlib.contextmanager
+def analysed_slots(warmup, censor):
+    """Run the oracle inside the block with WARMUP_SLOTS = warmup and
+    CENSOR_SLOTS = censor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queuesim, "WARMUP_SLOTS", warmup)
+        mp.setattr(queuesim, "CENSOR_SLOTS", censor)
+        yield
 
 
 def whole_array_physical_sampler(stats, secrecy):
@@ -151,13 +163,14 @@ def test_block_queue_equals_whole_array_pass(horizon, lam, load, flush_share,
     service[neg] = -np.abs(service[neg])
     service[svc_rng.random(horizon) < flush_share] = FLUSH_BITS
     arrival = ArrivalModel(lam, x)
-    got = simulate_queue(arrival, cursor_sampler(service), horizon, n_packets,
-                         np.random.default_rng(seed), warmup, censor)
+    with analysed_slots(warmup, censor):
+        got = simulate_queue(arrival, cursor_sampler(service), horizon, n_packets,
+                             np.random.default_rng(seed))
     want = whole_array_queue(arrival, cursor_sampler(service), horizon, n_packets,
                              np.random.default_rng(seed), warmup, censor)
     assert got.delays.dtype == want.delays.dtype
     assert np.array_equal(got.delays, want.delays)
-    assert (got.n_slots, got.warmup_slots) == (want.n_slots, want.warmup_slots)
+    assert got.n_slots == want.n_slots
 
 
 @pytest.mark.parametrize("n_slots", EDGE_HORIZONS + [3 * BLOCK_SLOTS + 7])
@@ -225,8 +238,9 @@ def test_horizon_only_caps_the_stream(blocks, kind, lam, n_packets, warmup, cens
     horizon = blocks * BLOCK_SLOTS
 
     def run(h):
-        return simulate_queue(arrival, make(STATS, SECRECY), h, n_packets,
-                              np.random.default_rng(seed), warmup, censor)
+        with analysed_slots(warmup, censor):
+            return simulate_queue(arrival, make(STATS, SECRECY), h, n_packets,
+                                  np.random.default_rng(seed))
 
     short = run(horizon)
     assume(short.n_packets == n_packets and np.all(np.isfinite(short.delays)))
@@ -253,8 +267,8 @@ def test_overwhelming_service_all_sojourns_one():
     lam, x = 0.4, 16
     arr = ArrivalModel(lam, x)
     sampler = lambda rng, n: np.full(n, x * 10.0 * max(1.0, lam))
-    res = simulate_queue(arr, sampler, 5000, 2000, np.random.default_rng(0),
-                         warmup_slots=10, censor_margin=10)
+    with analysed_slots(10, 10):
+        res = simulate_queue(arr, sampler, 5000, 2000, np.random.default_rng(0))
     assert res.n_packets > 0
     assert np.all(res.delays == 0.0)
 
@@ -275,7 +289,7 @@ def test_deterministic_under_seed():
     assert np.array_equal(a.delays, b.delays)
 
 
-def test_vectorised_queue_matches_slot_loop_oracle():
+def test_vectorised_queue_matches_slot_loop_oracle(monkeypatch):
     rng = np.random.default_rng(3)
     lam, x = 0.5, 8
     arrivals = rng.poisson(lam, 4000)
@@ -285,9 +299,9 @@ def test_vectorised_queue_matches_slot_loop_oracle():
         def __call__(self, _rng, n):
             return service[:n]
 
+    monkeypatch.setattr(queuesim, "WARMUP_SLOTS", 0)
     res = simulate_queue(ArrivalModel(lam, x), FixedSampler(), 4000, 10 ** 9,
-                         np.random.default_rng(99), warmup_slots=0,
-                         censor_margin=200)
+                         np.random.default_rng(99))
     # replay with identical arrivals: regenerate them the same way the
     # simulator does
     sim_arrivals = np.random.default_rng(99).poisson(lam, 4000)
@@ -298,7 +312,7 @@ def test_vectorised_queue_matches_slot_loop_oracle():
 
 def test_tail_and_window_probabilities_consistent():
     delays = np.array([0, 0, 1, 2, 3, 5, 9, np.inf])
-    res = QueueResult(delays, 100, 0)
+    res = QueueResult(delays, 100)
     p2, _ = res.tail_prob(2)
     assert p2 == pytest.approx(4 / 8)      # delays 3, 5, 9, inf
     w, _ = res.window_prob(1, 9)
