@@ -289,10 +289,12 @@ def _n_step_return(batch: dict, gamma: float, boot: np.ndarray) -> np.ndarray:
 
 
 def _clipped_step(net: Mlp, grads: list, opt: OptimizerState, grad_clip: float):
-    """One optimizer step on grads clipped to global norm grad_clip if > 0."""
+    """One optimizer step over the net's flat array, on grads clipped to
+    global norm grad_clip if > 0.  grads are views into one flat array, as
+    Mlp.backward and clip_global_norm return them; the step takes that array."""
     if grad_clip > 0:
         grads = clip_global_norm(grads, grad_clip)
-    optimizer_step(net.parameters(), grads, opt)
+    optimizer_step([net.flat], [grads[0].base], opt)
 
 
 def _fit_taken(net: Mlp, inputs: np.ndarray, idx: np.ndarray, targets: np.ndarray):
@@ -560,16 +562,18 @@ class SidPdqnAgent(Agent):
             "actors": [a.to_blob() for a in self.actors],
             "critics": [c.to_blob() for c in self.critics],
             "critic_targets": [c.to_blob() for c in self.critic_targets],
-            "actor_opts": [o.to_blob() for o in self.actor_opts],
-            "critic_opts": [o.to_blob() for o in self.critic_opts],
+            "actor_opts": [o.to_blob(a) for o, a in zip(self.actor_opts, self.actors)],
+            "critic_opts": [o.to_blob(c) for o, c in zip(self.critic_opts, self.critics)],
         }
 
     def _load_nets(self, blob: dict):
         self.actors = [Mlp.from_blob(b) for b in blob["actors"]]
         self.critics = [Mlp.from_blob(b) for b in blob["critics"]]
         self.critic_targets = [Mlp.from_blob(b) for b in blob["critic_targets"]]
-        self.actor_opts = [OptimizerState.from_blob(b) for b in blob["actor_opts"]]
-        self.critic_opts = [OptimizerState.from_blob(b) for b in blob["critic_opts"]]
+        self.actor_opts = [OptimizerState.from_blob(b, a)
+                           for b, a in zip(blob["actor_opts"], self.actors)]
+        self.critic_opts = [OptimizerState.from_blob(b, c)
+                            for b, c in zip(blob["critic_opts"], self.critics)]
 
 
 class DqnAgent(Agent):
@@ -627,12 +631,12 @@ class DqnAgent(Agent):
 
     def _net_blobs(self) -> dict:
         return {"q_net": self.q_net.to_blob(), "q_target": self.q_target.to_blob(),
-                "opt": self.opt.to_blob(), "cbl_grid": self.cbl_grid.tolist()}
+                "opt": self.opt.to_blob(self.q_net), "cbl_grid": self.cbl_grid.tolist()}
 
     def _load_nets(self, blob: dict):
         self.q_net = Mlp.from_blob(blob["q_net"])
         self.q_target = Mlp.from_blob(blob["q_target"])
-        self.opt = OptimizerState.from_blob(blob["opt"])
+        self.opt = OptimizerState.from_blob(blob["opt"], self.q_net)
         self.cbl_grid = np.array(blob["cbl_grid"])
 
 

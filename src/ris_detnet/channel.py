@@ -15,10 +15,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 REFERENCE_DISTANCE_M = 1.0
-# the Eve calibration builds its links in blocks of draws whose normals take
-# at most this many bytes, or of one draw: 61 draws on the reference scenario
-# (500 draws at once raised the peak RSS of a process by about 1.5 MB)
-EVE_BLOCK_BYTES = 1 << 16
+# the episode's fading and the Eve calibration build their links in blocks of
+# draws whose normals take at most this many bytes, or of one draw: 61 draws
+# on the reference scenario (500 calibration draws at once raised the peak
+# RSS of a process by about 1.5 MB; one draw of 1024 users and 4096 elements
+# is 67 MB of normals)
+DRAW_BLOCK_BYTES = 1 << 16
 
 
 def db_to_linear(x_db: float) -> float:
@@ -165,7 +167,8 @@ class PhaseShiftConfig:
 
 @dataclass
 class ChannelRealization:
-    """One block-fading draw of every complex link."""
+    """One block-fading draw of every complex link, or a block of draws
+    when every field carries a leading axis of draws (h_direct_eve too)."""
 
     h_direct: np.ndarray        # (K,) AP->user
     g_ris: np.ndarray           # (N,) AP->RIS
@@ -177,8 +180,8 @@ class ChannelRealization:
         for arr in (self.h_direct, self.g_ris, self.f_user, self.f_eve):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite channel entry")
-        n = self.g_ris.size
-        if self.f_eve.size != n or (self.f_user.size and self.f_user.shape[-1] != n):
+        n = self.g_ris.shape[-1]
+        if self.f_eve.shape[-1] != n or (self.f_user.size and self.f_user.shape[-1] != n):
             raise ValueError("RIS vector length mismatch")
 
 
@@ -282,6 +285,12 @@ def _normal_layout(n_elements: int, n_users: int):
     return np.concatenate(re), np.concatenate(im), pos
 
 
+def draws_per_block(topology: Topology) -> int:
+    """Realizations whose normals fit in DRAW_BLOCK_BYTES, and at least one."""
+    return max(1, DRAW_BLOCK_BYTES // (8 * _normal_layout(topology.n_elements,
+                                                           topology.n_users)[2]))
+
+
 @lru_cache(maxsize=16)
 def _eve_normal_layout(n_elements: int, n_users: int):
     """The real-part and imaginary-part indices of the AP->RIS, RIS->Eve and
@@ -306,31 +315,43 @@ def _ris_eve_links(topology: Topology, fading: FadingParams, cn_g, cn_e):
 
 
 def sample_channels(topology: Topology, fading: FadingParams,
-                    rng: np.random.Generator) -> ChannelRealization:
-    """Draw one block-fading realization of every link.
+                    rng: np.random.Generator, n_draws: int | None = None
+                    ) -> ChannelRealization:
+    """Draw one block-fading realization of every link, or n_draws of them.
 
-    All 4N + K(2 + 2N) + 2 normals come from one standard_normal call, in
-    the order of ``_normal_layout``.
+    Each realization takes 4N + K(2 + 2N) + 2 normals, in the order of
+    ``_normal_layout``, and all realizations come from one standard_normal
+    call, one after the other; so a block of n_draws holds, bit for bit, the
+    realizations that n_draws calls without n_draws would give.  With
+    n_draws, every field carries a leading axis of draws.
     """
     n_el, n_users = topology.n_elements, topology.n_users
     re, im, total = _normal_layout(n_el, n_users)
-    z = rng.standard_normal(total)
-    cn = (z[re] + 1j * z[im]) / np.sqrt(2.0)
+    z = rng.standard_normal((1 if n_draws is None else n_draws, total))
+    # take keeps each draw's row contiguous (z[:, re] would not), so every
+    # link of a draw is contiguous and its dot products see the same strides
+    # as a single draw's
+    cn = (np.take(z, re, axis=1) + 1j * np.take(z, im, axis=1)) / np.sqrt(2.0)
+    del z       # one draw of 1024 users x 4096 elements is 67 MB of normals
     user_steer = topology.steering[1]
 
-    h_direct = np.empty(n_users, dtype=complex)
-    f_user = np.empty((n_users, n_el), dtype=complex)
-    pos = n_el
+    end = n_el + n_users * (1 + n_el)
+    per_user = cn[:, n_el:end].reshape(-1, n_users, 1 + n_el)
+    h_direct = np.empty(per_user.shape[:2], dtype=complex)
+    f_user = np.empty(per_user[:, :, 1:].shape, dtype=complex)
+    # user by user, so that no temporary spans every user's links
     for k in range(n_users):
         pl_d = path_loss(topology.dist_ap_user[k], fading.alpha_direct, fading.pl0_db)
-        h_direct[k] = np.sqrt(pl_d) * cn[pos]
+        h_direct[:, k] = np.sqrt(pl_d) * per_user[:, k, 0]
         pl_g = path_loss(topology.dist_ris_user[k], fading.alpha_ris, fading.pl0_db)
-        f_user[k] = _rician_vector(cn[pos + 1:pos + 1 + n_el], user_steer[k],
-                                   pl_g, fading.rician_k_gk)
-        pos += 1 + n_el
-
-    g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:n_el], cn[pos:])
-    return ChannelRealization(h_direct, g_ris, f_user, f_eve, complex(h_direct_eve))
+        f_user[:, k] = _rician_vector(per_user[:, k, 1:], user_steer[k], pl_g,
+                                      fading.rician_k_gk)
+    g_ris, f_eve, h_direct_eve = _ris_eve_links(topology, fading, cn[:, :n_el],
+                                                cn[:, end:])
+    if n_draws is None:
+        return ChannelRealization(h_direct[0], g_ris[0], f_user[0], f_eve[0],
+                                  complex(h_direct_eve[0]))
+    return ChannelRealization(h_direct, g_ris, f_user, f_eve, h_direct_eve)
 
 
 def composite_gain(h: complex, f: np.ndarray, theta: PhaseShiftConfig,
@@ -375,14 +396,14 @@ def estimate_eve_mean_snr(topology: Topology, fading: FadingParams, p_tx: float,
     Each draw takes a realization's normals and then a random phase config
     from the stream, as ``sample_channels`` and a uniform draw would, but
     builds only the links that reach Eve, for a block of draws at once
-    (EVE_BLOCK_BYTES).  The per-draw dot products run on C-contiguous rows
+    (``draws_per_block``).  The per-draw dot products run on C-contiguous rows
     and the SNRs are summed in draw order, so the mean is that of a
     per-draw loop bit for bit.
     """
     noise = fading.noise_power_watts
     n_el = topology.n_elements
     re, im, total = _eve_normal_layout(n_el, topology.n_users)
-    block = max(1, EVE_BLOCK_BYTES // (8 * total))
+    block = draws_per_block(topology)
     acc = 0.0
     for start in range(0, n_draws, block):
         n = min(block, n_draws - start)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (LinkStats, PhaseShiftConfig, composite_gain,
-                      delta_sq_closed_form, estimate_eve_mean_snr,
+                      delta_sq_closed_form, draws_per_block, estimate_eve_mean_snr,
                       los_components, sample_channels)
 from .config import ScenarioConfig
 from .mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy
@@ -140,7 +140,9 @@ class RisDownlinkEnv:
 
     The window-determinacy evaluations are memoised per quadrature profile
     on the exact (LinkStats, blocklength, window) key; geometry and the
-    codebook are fixed for the lifetime of the instance.
+    codebook are fixed for the lifetime of the instance.  An episode's
+    fading stream is drawn in blocks of ``draws_per_block`` realizations, one
+    sample_channels call each, and read one realization per slot.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int | None = None):
@@ -194,7 +196,9 @@ class RisDownlinkEnv:
 
         self._episode = -1
         self._fade_rng = None
-        self.realization = None
+        self._block_draws = draws_per_block(self.topology)
+        self._fading_block = None    # a ChannelRealization with a draw axis
+        self._draw = 0               # the current slot's draw within it
         self.sid_order = tuple(range(self.n_users))
         self._last_theta = self.codebook.phase_codewords[0]
 
@@ -233,29 +237,43 @@ class RisDownlinkEnv:
         """New episode: fresh fading stream, full budgets, zeroed actions."""
         self._episode = self._episode + 1 if episode is None else episode
         self._fade_rng = np.random.default_rng([self.seed, 1000, self._episode])
-        self.realization = sample_channels(self.topology, self.fading, self._fade_rng)
+        self._fading_block = None
+        self._next_fading()
         self.sid_order = tuple(np.roll(np.arange(self.n_users), -(self._episode % self.n_users)))
         self._last_theta = self.codebook.phase_codewords[0]
-        return [self._observe(k, np.zeros(3)) for k in range(self.n_users)]
+        return self._observe([np.zeros(3) for _ in range(self.n_users)])
 
-    def _observe(self, user: int, prev_action: np.ndarray) -> StateVector:
+    def _next_fading(self):
+        """Move to the next realization of the episode's fading stream,
+        drawing a new block of them when the current one is used up."""
+        self._draw += 1
+        if self._fading_block is None or self._draw == self._block_draws:
+            self._fading_block = sample_channels(self.topology, self.fading,
+                                                 self._fade_rng, self._block_draws)
+            self._draw = 0
+
+    def _observe(self, prev_actions: list) -> list:
+        """Every user's state under the current realization and RIS
+        configuration; Eve's composite gain is formed once for all users."""
         theta = self._last_theta
-        gain_u = composite_gain(self.realization.h_direct[user],
-                                self.realization.f_user[user], theta,
-                                self.realization.g_ris)
-        gain_e = composite_gain(self.realization.h_direct_eve,
-                                self.realization.f_eve, theta,
-                                self.realization.g_ris)
-        chan_eve = np.array([abs(gain_e) ** 2, 1.0 / self.lambda_eve])
-        if not self.observe_eve:
-            chan_eve = np.zeros(2)
-        return StateVector(
-            chan_user=np.array([abs(gain_u) ** 2, self.delta_sq[user],
-                                self.upsilon[user].max()]),
-            chan_eve=chan_eve,
-            prev_action=np.asarray(prev_action, dtype=float),
-            t_min_req=self.window.t_min, t_max_req=self.window.t_max,
-            remaining_power=self.p_max, remaining_cbl=self.n_max)
+        block, i = self._fading_block, self._draw
+        eve = (0.0, 0.0)
+        if self.observe_eve:
+            gain_e = composite_gain(block.h_direct_eve[i], block.f_eve[i], theta,
+                                    block.g_ris[i])
+            eve = (abs(gain_e) ** 2, 1.0 / self.lambda_eve)
+        states = []
+        for user, prev_action in enumerate(prev_actions):
+            gain_u = composite_gain(block.h_direct[i, user], block.f_user[i, user],
+                                    theta, block.g_ris[i])
+            states.append(StateVector(
+                chan_user=np.array([abs(gain_u) ** 2, self.delta_sq[user],
+                                    self.upsilon[user].max()]),
+                chan_eve=np.array(eve),
+                prev_action=np.asarray(prev_action, dtype=float),
+                t_min_req=self.window.t_min, t_max_req=self.window.t_max,
+                remaining_power=self.p_max, remaining_cbl=self.n_max))
+        return states
 
     def project_actions(self, actions: list) -> ProjectedAllocation:
         """Proportional scaling onto the power and blocklength budgets.
@@ -296,17 +314,13 @@ class RisDownlinkEnv:
         reward = max(0.0, float(np.mean(varpis)) - self.violation_penalty * n_viol)
 
         self._last_theta = self.codebook.phase_codewords[alloc.codeword_index]
-        self.realization = sample_channels(self.topology, self.fading, self._fade_rng)
-        next_states = []
-        for k in range(self.n_users):
-            prev = np.array([
-                actions[k].discrete_index / max(1, self.codebook.size - 1),
-                alloc.blocklengths[k] / self.n_max,
-                alloc.powers[k] / self.p_max,
-            ])
-            next_states.append(self._observe(k, prev))
+        self._next_fading()
+        prevs = [np.array([actions[k].discrete_index / max(1, self.codebook.size - 1),
+                           alloc.blocklengths[k] / self.n_max,
+                           alloc.powers[k] / self.p_max])
+                 for k in range(self.n_users)]
         return StepOutcome(
-            next_states=next_states,
+            next_states=self._observe(prevs),
             reward=reward,
             per_user_varpi=varpis,
             constraint_violation={"power": alloc.power_scaled,

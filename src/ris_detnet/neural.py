@@ -6,8 +6,17 @@ parameters and a softmax block of discrete-action probabilities.  Gradients
 are exact reverse-mode; with both moment decay rates at zero the optimizer
 is literal gradient descent.  Every operation follows the dtype of the
 weights: float64 by default, or float32 when the net is built so.
+
+A net keeps all its parameters in one flat array, ``Mlp.flat``, in the order
+W0, b0, W1, b1, ...; its weights, biases and parameters() are views into
+it, and backward writes a call's gradients into one fresh flat array of the
+same layout.  So an element-wise step over a whole net, such as the
+optimizer's, runs once over one array.
 """
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -17,11 +26,19 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, from one exp that
+    never overflows.  min(x, -x) is -|x| that keeps a NaN's sign and payload."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def split_flat(flat: np.ndarray, shapes) -> list:
+    """Views of consecutive pieces of a flat array, one of each shape."""
+    out, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[pos:pos + size].reshape(shape))
+        pos += size
     return out
 
 
@@ -50,12 +67,27 @@ class Mlp:
         self.layer_dims = list(layer_dims)
         self.head = head
         self.n_discrete = n_discrete
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, (fan_out, fan_in)).astype(dtype))
-            self.biases.append(np.zeros(fan_out, dtype=dtype))
+        self._adopt(np.empty(sum(math.prod(s) for s in self.shapes), dtype=dtype))
+        for w, b in zip(self.weights, self.biases):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), w.shape)
+            b[...] = 0.0
+
+    @cached_property
+    def shapes(self) -> list:
+        """Shapes of [W0, b0, W1, b1, ...], the layout of the flat arrays."""
+        return [s for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:])
+                for s in ((fan_out, fan_in), (fan_out,))]
+
+    def _adopt(self, flat: np.ndarray):
+        """Make flat the parameter array; weights and biases view into it."""
+        self.flat = flat
+        views = self.split(flat)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+
+    def split(self, flat: np.ndarray) -> list:
+        """Views [W0, b0, W1, b1, ...] into a flat array of this net's layout."""
+        return split_flat(flat, self.shapes)
 
     @property
     def n_layers(self) -> int:
@@ -63,10 +95,10 @@ class Mlp:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.flat.dtype
 
     def parameters(self):
-        """Flat list [W0, b0, W1, b1, ...]; shared references, not copies."""
+        """List [W0, b0, W1, b1, ...] of views into the flat array."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
@@ -100,7 +132,8 @@ class Mlp:
 
         grad_out: identity head — array like the output; actor head — tuple
         (grad_params, grad_probs).  Returns (param_grads in parameters()
-        order, grad_input).
+        order, grad_input); param_grads are views into one flat array that
+        this call allocates, in the layout of ``flat``.
         """
         acts, pre, head_vals = cache
         if self.head == "identity":
@@ -114,15 +147,14 @@ class Mlp:
                              * params * (1.0 - params))
             gp = np.atleast_2d(np.asarray(grad_probs, dtype=self.dtype))
             # softmax Jacobian: p * (g - <g, p>)
-            delta[:, nd:] = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
-        grads = []
+            delta[:, nd:] = probs * (gp - np.add.reduce(gp * probs, axis=1, keepdims=True))
+        grads = self.split(np.empty_like(self.flat))
         for i in range(self.n_layers - 1, -1, -1):
-            grads.append(delta.sum(axis=0))          # db
-            grads.append(delta.T @ acts[i])          # dW
+            np.add.reduce(delta, axis=0, out=grads[2 * i + 1])      # db
+            np.matmul(delta.T, acts[i], out=grads[2 * i])           # dW
             if i > 0:
                 delta = (delta @ self.weights[i]) * (acts[i] > 0.0)
         grad_input = delta @ self.weights[0]
-        grads.reverse()
         return grads, grad_input
 
     def copy(self) -> "Mlp":
@@ -130,8 +162,7 @@ class Mlp:
         twin.layer_dims = list(self.layer_dims)
         twin.head = self.head
         twin.n_discrete = self.n_discrete
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
+        twin._adopt(self.flat.copy())
         return twin
 
     # -- portable text blob ------------------------------------------------
@@ -153,8 +184,9 @@ class Mlp:
         net.head = blob["head"]
         net.n_discrete = blob["n_discrete"]
         dtype = np.dtype(blob["dtype"])
-        net.weights = [np.array(w, dtype=dtype) for w in blob["weights"]]
-        net.biases = [np.array(b, dtype=dtype) for b in blob["biases"]]
+        net._adopt(np.concatenate([np.array(a, dtype=dtype).ravel()
+                                   for w, b in zip(blob["weights"], blob["biases"])
+                                   for a in (w, b)]))
         return net
 
 
@@ -162,8 +194,10 @@ class OptimizerState:
     """Adaptive-moment updates with bias correction.
 
     Decay rates (0, 0) bypass the moment machinery entirely and apply the
-    literal rule p -= lr * g.  ``scratch`` holds two work arrays per
-    parameter array so that a step allocates nothing; it is not saved.
+    literal rule p -= lr * g.  ``m`` and ``v`` hold one moment array per
+    parameter array stepped: one for an Mlp's flat array.  ``scratch`` holds
+    two work arrays per parameter array so that a step allocates nothing; it
+    is not saved.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -179,23 +213,41 @@ class OptimizerState:
         self.v = None
         self.scratch = None
 
-    def to_blob(self) -> dict:
+    def to_blob(self, net: Mlp | None = None) -> dict:
+        """The state as JSON-ready values.  Given the net whose flat array
+        the state steps, each moment is written as that net's per-array
+        pieces, in parameters() order."""
+        def arrays(moments):
+            if moments is None:
+                return None
+            return [a.tolist() for a in (moments if net is None else net.split(moments[0]))]
         return {
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps, "step_count": self.step_count,
             "dtype": None if self.m is None else self.m[0].dtype.name,
-            "m": None if self.m is None else [a.tolist() for a in self.m],
-            "v": None if self.v is None else [a.tolist() for a in self.v],
+            "m": arrays(self.m),
+            "v": arrays(self.v),
         }
 
     @classmethod
-    def from_blob(cls, blob: dict) -> "OptimizerState":
+    def from_blob(cls, blob: dict, net: Mlp | None = None) -> "OptimizerState":
+        """Inverse of to_blob: given the net, the per-array moment pieces are
+        joined into one moment array for its flat array."""
         opt = cls(blob["lr"], blob["beta1"], blob["beta2"], blob["eps"])
         opt.step_count = blob["step_count"]
         if blob["m"] is not None:
             dtype = np.dtype(blob["dtype"])
-            opt.m = [np.array(a, dtype=dtype) for a in blob["m"]]
-            opt.v = [np.array(a, dtype=dtype) for a in blob["v"]]
+
+            def arrays(pieces):
+                out = [np.array(a, dtype=dtype) for a in pieces]
+                if net is None:
+                    return out
+                flat = np.concatenate([a.ravel() for a in out])
+                if flat.size != net.flat.size:
+                    raise ValueError("optimizer moments do not fit the net")
+                return [flat]
+            opt.m = arrays(blob["m"])
+            opt.v = arrays(blob["v"])
         return opt
 
 
@@ -239,9 +291,15 @@ def optimizer_step(params, grads, opt: OptimizerState):
 
 
 def clip_global_norm(grads, max_norm: float):
-    """Rescale the whole gradient list when its global L2 norm exceeds max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    """Rescale the whole gradient list when its global L2 norm exceeds max_norm.
+
+    The squares are summed array by array, in list order.  A rescaled list
+    is views into one new flat array, scaled at once, like the gradients
+    Mlp.backward returns.
+    """
+    total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
     if total > max_norm > 0:
         scale = max_norm / total
-        grads = [g * scale for g in grads]
+        flat = np.concatenate([g.ravel() for g in grads]) * scale
+        grads = split_flat(flat, [g.shape for g in grads])
     return grads

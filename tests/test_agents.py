@@ -690,3 +690,34 @@ def test_checkpoint_keeps_float32_bitwise(tmp_path, agent_cls):
     for saved, loaded in zip(saved_arrays(agent), saved_arrays(twin), strict=True):
         assert loaded.dtype == np.float32
         assert np.array_equal(saved, loaded)
+
+
+@pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
+def test_checkpoint_then_training_equals_uninterrupted_training(tmp_path, agent_cls):
+    # a checkpoint keeps the per-array Adam moments of version 3 and loads
+    # them back into the flat ones, so training on from it repeats the bits
+    # of a run that never stopped; replay buffers are not checkpointed, so
+    # the resumed agent takes the stopped agent's
+    from ris_detnet.agents import load_checkpoint, save_checkpoint
+    cfg = train_cfg()
+
+    def fresh():
+        return agent_cls(RisDownlinkEnv(cfg, seed=8), AgentConfig.from_scenario(cfg),
+                         seed=8)
+
+    whole = fresh()
+    whole_rows = whole.train(episodes=3, steps=20).rows
+    stopped = fresh()
+    stopped.train(episodes=2, steps=20)
+    saved_arrays(stopped)               # asserts that the moments are live
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), stopped, cfg)
+    resumed = fresh()
+    load_checkpoint(str(path), resumed, cfg)
+    resumed.buffers = stopped.buffers
+    resumed.env.reset()
+    resumed.env.reset()                 # the env's episode count: 2 is next
+    rows = resumed.train(episodes=1, steps=20).rows
+    assert repr(rows) == repr(whole_rows[40:]).replace("'episode': 2", "'episode': 0")
+    for a, b in zip(saved_arrays(resumed), saved_arrays(whole), strict=True):
+        assert np.array_equal(a, b)

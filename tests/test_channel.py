@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ris_detnet.channel import (FadingParams, LinkStats, PhaseShiftConfig,
-                                Topology, composite_gain, delta_sq_closed_form,
+from ris_detnet.channel import (DRAW_BLOCK_BYTES, FadingParams, LinkStats,
+                                PhaseShiftConfig, Topology, composite_gain,
+                                delta_sq_closed_form, draws_per_block,
                                 estimate_eve_mean_snr, los_components, path_loss,
-                                _eve_normal_layout, _ris_eve_links, sample_channels,
-                                snr, steering_vector)
+                                _eve_normal_layout, _normal_layout, _ris_eve_links,
+                                sample_channels, snr, steering_vector)
 from ris_detnet.config import default_config
 from ris_detnet.env import RisDownlinkEnv
 
@@ -127,6 +128,53 @@ def test_sampling_equals_per_link_draws(topo, fading, shape):
             assert np.array_equal(a, b)
             assert np.shape(a) == np.shape(b)
     assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("shape", ["conftest", "no_ris", "one_user"])
+def test_block_of_draws_equals_single_draws(topo, fading, shape):
+    # a block of n draws holds, bit for bit, the realizations of n calls
+    # without n_draws, and leaves the stream where they leave it
+    topo = _shaped(topo, shape)
+    block_rng, single_rng = np.random.default_rng(23), np.random.default_rng(23)
+    for n in (1, 5, 64):
+        block = sample_channels(topo, fading, block_rng, n)
+        assert block.f_user.shape == (n, topo.n_users, topo.n_elements)
+        assert block.h_direct_eve.shape == (n,)
+        for i in range(n):
+            real = sample_channels(topo, fading, single_rng)
+            got = (block.h_direct[i], block.g_ris[i], block.f_user[i], block.f_eve[i],
+                   np.array(block.h_direct_eve[i]))
+            want = (real.h_direct, real.g_ris, real.f_user, real.f_eve,
+                    np.array(real.h_direct_eve))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert np.shape(a) == np.shape(b)
+    assert block_rng.random() == single_rng.random()
+
+
+def test_draw_block_bounded_by_bytes_not_draws():
+    # a block holds as many realizations as fit DRAW_BLOCK_BYTES of normals,
+    # and at least one: one realization of the capped 1024-user, 4096-element
+    # topology is 8.4 M normals (67 MB), so its episodes draw one per block,
+    # and a reset peaks near that one draw's arrays, far below two draws'
+    cfg = default_config()
+    assert draws_per_block(RisDownlinkEnv(cfg).topology) == 61
+    cfg.set_by_path("budget.n_max", 16384)
+    cfg.set_by_path("topology.n_users", 1024)
+    cfg.set_by_path("topology.n_elements", 4096)
+    cfg.set_by_path("fading.eve_mean_snr", 10.0)
+    env = RisDownlinkEnv(cfg, seed=0)
+    normal_bytes = 8 * _normal_layout(4096, 1024)[2]
+    assert normal_bytes > DRAW_BLOCK_BYTES
+    assert draws_per_block(env.topology) == 1
+    env.reset()
+    tracemalloc.start()
+    try:
+        env.reset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * normal_bytes
 
 
 def _eve_snr_from_realizations(topology, fading, p_tx, rng, n_draws):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import ris_detnet as rd
-from ris_detnet.channel import LinkStats, PhaseShiftConfig, composite_gain
+from ris_detnet import channel
+from ris_detnet.channel import (LinkStats, PhaseShiftConfig, composite_gain,
+                                sample_channels)
 from ris_detnet.env import (HybridAction, RisDownlinkEnv, StateVector,
                             build_codebook)
 from ris_detnet.fbc import SecrecyParams
@@ -222,6 +224,37 @@ def test_trajectory_bitwise_deterministic():
         encodings.append(np.concatenate(acc_e))
     assert rewards[0] == rewards[1]
     assert np.array_equal(encodings[0], encodings[1])
+
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["one", "three", "bytes"])
+def test_fading_blocks_equal_per_slot_draws(monkeypatch, block):
+    # the env reads each slot's realization from blocks of draws; the oracle
+    # draws one realization per slot from the episode's stream.  Blocks of 3
+    # cross boundaries within an episode, and the second reset starts afresh
+    if block is not None:
+        total = channel._normal_layout(8, 2)[2]
+        monkeypatch.setattr(channel, "DRAW_BLOCK_BYTES", 8 * total * block)
+    env = RisDownlinkEnv(scenario(), seed=12)
+    for episode in range(2):
+        states = env.reset()
+        rng = np.random.default_rng([12, 1000, episode])
+        theta = env.codebook.phase_codewords[0]
+        for t in range(8):
+            real = sample_channels(env.topology, env.fading, rng)
+            fading, i = env._fading_block, env._draw
+            assert np.array_equal(fading.f_user[i], real.f_user)
+            assert np.array_equal(fading.g_ris[i], real.g_ris)
+            assert fading.h_direct_eve[i] == real.h_direct_eve
+            gain_e = composite_gain(real.h_direct_eve, real.f_eve, theta, real.g_ris)
+            for k, sv in enumerate(states):
+                gain_u = composite_gain(real.h_direct[k], real.f_user[k], theta,
+                                        real.g_ris)
+                assert sv.chan_user[0] == abs(gain_u) ** 2
+                assert sv.chan_eve[0] == abs(gain_e) ** 2
+            out = env.step([HybridAction((t + k) % env.codebook.size, 0.3 * k)
+                            for k in range(2)])
+            theta = env.codebook.phase_codewords[out.info["codeword_index"]]
+            states = out.next_states
 
 
 def test_reward_in_unit_interval_and_penalty():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ris_detnet.neural import (Mlp, OptimizerState, clip_global_norm,
-                               optimizer_step, softmax)
+                               optimizer_step, sigmoid, softmax)
 
 
 def finite_diff_grads(net, loss_fn, h=1e-5):
@@ -276,3 +276,195 @@ def test_blob_round_trip_keeps_float32_bitwise():
                              twin.parameters() + opt2.m + opt2.v):
         assert loaded.dtype == np.float32
         assert np.array_equal(saved, loaded)
+
+
+# ------------------------------------------------------------- flat buffers
+
+def _sigmoid_reference(x):
+    """The boolean-mask sigmoid the exp(-|x|) form replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _backward_reference(net, cache, grad_out):
+    """Mlp.backward as it was before the flat gradient array: one fresh
+    array per parameter, bias gradients through ndarray.sum."""
+    acts, pre, head_vals = cache
+    if net.head == "identity":
+        delta = np.atleast_2d(np.asarray(grad_out, dtype=net.dtype))
+    else:
+        grad_params, grad_probs = grad_out
+        params, probs = head_vals
+        nd = net.n_discrete
+        delta = np.empty_like(pre)
+        delta[:, :nd] = (np.atleast_2d(np.asarray(grad_params, dtype=net.dtype))
+                         * params * (1.0 - params))
+        gp = np.atleast_2d(np.asarray(grad_probs, dtype=net.dtype))
+        delta[:, nd:] = probs * (gp - (gp * probs).sum(axis=1, keepdims=True))
+    grads = []
+    for i in range(net.n_layers - 1, -1, -1):
+        grads.append(delta.sum(axis=0))
+        grads.append(delta.T @ acts[i])
+        if i > 0:
+            delta = (delta @ net.weights[i]) * (acts[i] > 0.0)
+    grad_input = delta @ net.weights[0]
+    grads.reverse()
+    return grads, grad_input
+
+
+def _clip_reference(grads, max_norm):
+    """clip_global_norm as it was before the flat gradient array: a rescaled
+    list is one new array per gradient array."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > max_norm > 0:
+        scale = max_norm / total
+        grads = [g * scale for g in grads]
+    return grads
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype(f"u{a.dtype.itemsize}"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_masked_reference_bitwise(dtype):
+    info = np.finfo(dtype)
+    unsigned = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    nan_payloads = (np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=unsigned)
+                    if dtype is np.float64 else
+                    np.array([0x7FC00123, 0xFFC00456], dtype=unsigned)).view(dtype)
+    special = np.array([0.0, -0.0, info.tiny, -info.tiny, info.smallest_subnormal,
+                        -info.smallest_subnormal, np.inf, -np.inf, np.nan, -np.nan,
+                        info.max, -info.max, 80.0, -80.0, 800.0, -800.0], dtype=dtype)
+    rng = np.random.default_rng(12)
+    scales = rng.choice([1e-30, 1e-6, 1.0, 10.0, 100.0], 4000)
+    x = np.concatenate([special, nan_payloads,
+                        (rng.normal(size=4000) * scales).astype(dtype)])
+    with np.errstate(invalid="ignore"):
+        for arr in (x, x.reshape(-1, 2), np.stack([x, x], axis=1)[:, :1]):
+            got, want = sigmoid(arr), _sigmoid_reference(arr)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_parameters_are_views_into_one_flat_array():
+    net = Mlp([4, 6, 3], np.random.default_rng(0), dtype=np.float32)
+    params = net.parameters()
+    assert net.flat.size == sum(p.size for p in params) == 4 * 6 + 6 + 6 * 3 + 3
+    assert [p.shape for p in params] == net.shapes
+    assert all(p.base is net.flat for p in params)
+    assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in params]))
+    net.flat[:] = 0.0
+    assert all(np.all(p == 0.0) for p in params)
+    twin = net.copy()
+    twin.weights[0][:] = 1.0
+    assert twin.flat[0] == 1.0 and net.flat[0] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head", ["identity", "actor"])
+def test_backward_flat_gradients_equal_per_array_backward(dtype, head):
+    rng = np.random.default_rng(31)
+    net = Mlp([6, 16, 12, 8], rng, head=head, n_discrete=4 if head == "actor" else None,
+              dtype=dtype)
+    calls = []
+    for batch in (1, 32):
+        x = rng.normal(size=(batch, 6))
+        out, cache = net.forward(x)
+        grad_out = (rng.normal(size=(batch, 8)) if head == "identity"
+                    else (rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))))
+        grads, grad_in = net.backward(cache, grad_out)
+        want, want_in = _backward_reference(net, cache, grad_out)
+        assert [g.shape for g in grads] == [w.shape for w in want]
+        for g, w in zip(grads, want, strict=True):
+            assert g.dtype == w.dtype == dtype
+            assert np.array_equal(_bits(g), _bits(w))
+            assert g.base is grads[0].base
+        assert grads[0].base.size == net.flat.size
+        assert np.array_equal(_bits(grad_in), _bits(want_in))
+        calls.append(([g.copy() for g in grads], grads))
+    # the second call wrote a fresh flat array: the first call's views hold
+    first_copy, first_views = calls[0]
+    assert first_views[0].base is not calls[1][1][0].base
+    for kept, view in zip(first_copy, first_views):
+        assert np.array_equal(kept, view)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("optimizer", ["adam", "plain_sgd"])
+def test_flat_optimizer_step_equals_per_array_steps(dtype, optimizer):
+    # one optimizer_step over the flat arrays against one per parameter array
+    def make_opt():
+        if optimizer == "plain_sgd":
+            return OptimizerState(0.01, beta1=0.0, beta2=0.0)
+        return OptimizerState(0.01)
+    dims = [7, 16, 9, 5]
+    flat_net = Mlp(dims, np.random.default_rng(3), dtype=dtype)
+    ref_net = Mlp(dims, np.random.default_rng(3), dtype=dtype)
+    flat_opt, ref_opt = make_opt(), make_opt()
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        grad = (rng.normal(size=flat_net.flat.size) * 10.0).astype(dtype)
+        optimizer_step([flat_net.flat], [grad], flat_opt)
+        optimizer_step(ref_net.parameters(), [g.copy() for g in ref_net.split(grad)],
+                       ref_opt)
+        assert np.array_equal(_bits(flat_net.flat), _bits(ref_net.flat))
+    if optimizer == "adam":
+        for flat_moment, ref_moments in ((flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
+            assert len(flat_moment) == 1 and flat_moment[0].dtype == dtype
+            assert np.array_equal(
+                _bits(flat_moment[0]),
+                _bits(np.concatenate([a.ravel() for a in ref_moments])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["fires", "holds"])
+def test_flat_clipping_equals_per_array_clipping(dtype, max_norm):
+    # the flat step on clipped views against the per-array step on the
+    # per-array clipped list, dtype included: a float64 scale upcasts both
+    dims = [5, 12, 4]
+    flat_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
+    ref_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
+    flat_opt, ref_opt = OptimizerState(0.01), OptimizerState(0.01)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        x = rng.normal(size=(8, 5))
+        out, cache = flat_net.forward(x)
+        grads, _ = flat_net.backward(cache, rng.normal(size=out.shape))
+        want = _clip_reference([g.copy() for g in grads], max_norm)
+        got = clip_global_norm(grads, max_norm)
+        assert (got is grads) == (max_norm == 1e6)
+        flat = got[0].base
+        assert all(g.base is flat for g in got) and flat.size == flat_net.flat.size
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(_bits(g), _bits(w))
+        optimizer_step([flat_net.flat], [flat], flat_opt)
+        optimizer_step(ref_net.parameters(), want, ref_opt)
+        assert np.array_equal(_bits(flat_net.flat), _bits(ref_net.flat))
+
+
+def test_optimizer_blob_splits_and_joins_flat_moments():
+    # a state that steps a net's flat array is saved per parameter array, as
+    # the per-array state would be, and loads back flat
+    net = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
+    twin = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
+    flat_opt, ref_opt = OptimizerState(0.01), OptimizerState(0.01)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        grad = rng.normal(size=net.flat.size).astype(np.float32)
+        optimizer_step([net.flat], [grad], flat_opt)
+        optimizer_step(twin.parameters(), [g.copy() for g in twin.split(grad)], ref_opt)
+    blob = json.loads(json.dumps(flat_opt.to_blob(net)))
+    assert blob == json.loads(json.dumps(ref_opt.to_blob()))
+    loaded = OptimizerState.from_blob(blob, net)
+    for saved, back in ((flat_opt.m, loaded.m), (flat_opt.v, loaded.v)):
+        assert len(back) == 1 and back[0].dtype == np.float32
+        assert np.array_equal(saved[0], back[0])
+    with pytest.raises(ValueError):
+        OptimizerState.from_blob(blob, Mlp([3, 6, 4], np.random.default_rng(0)))
