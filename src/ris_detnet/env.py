@@ -139,10 +139,11 @@ class RisDownlinkEnv:
     """Quasi-static geometry, per-slot block fading, analytic reward.
 
     The window-determinacy evaluations are memoised per quadrature profile
-    on the exact (LinkStats, blocklength, window) key; geometry and the
-    codebook are fixed for the lifetime of the instance.  An episode's
-    fading stream is drawn in blocks of ``draws_per_block`` realizations, one
-    sample_channels call each, and read one realization per slot.
+    on the exact (user, power, codeword, blocklength, window) key; geometry
+    and the codebook are fixed for the lifetime of the instance, so the
+    first three fix the LinkStats.  An episode's fading stream is drawn in
+    blocks of ``draws_per_block`` realizations, one sample_channels call
+    each, and read one realization per slot.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int | None = None):
@@ -212,17 +213,21 @@ class RisDownlinkEnv:
 
     def varpi(self, user: int, power: float, codeword_index: int,
               blocklength: float, profile: str = "train"):
-        """Cached window-determinacy result for one user's allocation."""
-        stats = self.link_stats(user, power, codeword_index)
+        """Cached window-determinacy result for one user's allocation.
+
+        (user, power, codeword_index) stands for its LinkStats in the memo
+        key, so a hit builds none.
+        """
         # train profile trades blocklength resolution (4 channel uses) for
         # cache hits; evaluation scores the exact continuous value
         n_q = max(1.0, 4.0 * round(blocklength / 4.0)) if profile == "train" else blocklength
-        key = (stats, n_q, self.window.t_min, self.window.t_max)
+        key = (user, float(power), codeword_index, n_q, self.window.t_min, self.window.t_max)
         cache = self._varpi_cache[profile]
         hit = cache.get(key)
         if hit is not None:
             return hit
-        service = ServiceModel(stats, self.config.build_secrecy(n_q),
+        service = ServiceModel(self.link_stats(user, power, codeword_index),
+                               self.config.build_secrecy(n_q),
                                QUADRATURE_PROFILES[profile])
         result = delay_determinacy(self.window, self.arrival, service)
         cache[key] = result

@@ -30,6 +30,10 @@ one root of P and the kernel infimum is the floor or the one root of
 d/ds log K.  The arrival half of P is known in closed form, so the edge
 search models only log M_psi, by its tangents (below it) and chords (above
 it), and takes its next probe from the root of the exact-arrival model.
+A tangent root is a certified upper bound on the edge, so once one lies
+within BISECT_TOL of a probed stable point the search stops there, with no
+probe past the edge to confirm it; a chord root is only a lower bound and
+can read unstable in floating point, so it is always probed.
 The infimum search is safeguarded Newton inside a shrinking bracket.  Both
 searches read H through ``service_mellin_u_with_error``; the two horizons
 of a determinacy share the model's H cache.
@@ -541,16 +545,24 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None
       there, so the root of A plus that chord is a lower bound.
 
     Each step probes the tighter upper bound (from the floor it lands just
-    past the edge), or the lower bound once the two are within BISECT_TOL,
-    or lo + BISECT_TOL once the upper bound is that close to lo.  A bound
-    past S_CAP probes S_CAP itself, which is returned when stable.  Far
-    past the edge H may not converge (at high rho the upper bound from the
-    floor can overshoot there): a probe more than twice the stable side
-    that raises QuadratureError only caps the later probes, which then
-    halve the gap to it; a failure within twice the stable side, where a
-    doubling climb would probe too, is raised.  Returns the stable side of
-    a probed bracket no wider than BISECT_TOL; raises SearchError when
-    MAX_SEARCH_STEPS probes do not close it.
+    past the edge), or the lower bound once the two are within BISECT_TOL.
+    Once the upper bound is within BISECT_TOL of the stable lo, the
+    tangent has proved the bracket [lo, upper] and lo is returned with no
+    further probe; a probe there would cost a whole H ladder at the dearest
+    s of the search, and its H would lie past s_max*(1 - S_MAX_MARGIN),
+    where no bound or error estimate reads it.  The chord root stays
+    probed: it is only a lower bound on the edge, and in floating point it
+    can read unstable, so the end returned is always a probed stable one.  A bound past S_CAP probes S_CAP itself, which is
+    returned when stable.  Far past the edge H may not converge (at high
+    rho the upper bound from the floor can overshoot there): a probe more
+    than twice the stable side that raises QuadratureError only caps the
+    later probes, which then halve the gap to it; a failure within twice
+    the stable side, where a doubling climb would probe too, is raised.
+
+    Returns a probed stable lo whose tangent bound certifies the edge
+    within BISECT_TOL above it, or the stable side of a probed bracket no
+    wider than BISECT_TOL; raises SearchError when MAX_SEARCH_STEPS probes
+    do neither.
     """
     rate, scale = _arrival_exponent(arrival)
 
@@ -573,13 +585,12 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None
         if hi < math.inf:
             upper = min(upper, model_root(l_hi, g_hi, hi, lo, hi))
         if upper - lo <= BISECT_TOL:
-            s = lo + BISECT_TOL
-        else:
-            s = upper
-            if hi < math.inf:
-                lower = model_root(l_lo, (l_hi - l_lo) / (hi - lo), lo, lo, hi)
-                if lo < lower and upper - lower <= BISECT_TOL:
-                    s = lower
+            return lo
+        s = upper
+        if hi < math.inf:
+            lower = model_root(l_lo, (l_hi - l_lo) / (hi - lo), lo, lo, hi)
+            if lo < lower and upper - lower <= BISECT_TOL:
+                s = lower
         s = min(s, S_CAP)
         top = min(hi, ceiling)
         if not lo < s < top:

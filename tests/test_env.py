@@ -190,6 +190,23 @@ def test_step_reward_matches_direct_determinacy():
             assert out.per_user_varpi[k] == pytest.approx(res.varpi, rel=1e-9)
 
 
+def test_varpi_memo_hit_builds_no_link_stats(monkeypatch):
+    # a warm hit returns the memoised result object and constructs no
+    # LinkStats; a miss builds the one its determinacy needs
+    env = RisDownlinkEnv(scenario(), seed=6)
+    power = env.p_max / env.n_users
+    first = env.varpi(1, power, 2, 64.0)
+    built = []
+    post_init = LinkStats.__post_init__
+    monkeypatch.setattr(LinkStats, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    assert env.varpi(1, power, 2, 64.0) is first
+    assert env.varpi(1, np.float64(power), 2, 64.0) is first
+    assert built == []
+    env.varpi(1, power, 2, 64.0, profile="eval")
+    assert len(built) == 1
+
+
 def test_step_updates_prev_action_with_applied_values():
     env = RisDownlinkEnv(scenario(), seed=7)
     env.reset(episode=0)

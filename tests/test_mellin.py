@@ -662,6 +662,152 @@ def test_stability_edge_h_evaluation_count():
         assert len(service._h_cache) <= 6
 
 
+def test_cold_determinacy_integrates_h_at_three_points():
+    # one cold eval-profile determinacy at each analyze user of the reference
+    # config: the edge search ends on its tangent certificate, with no probe
+    # past the edge, and both infimum searches read only cached H
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    for make in users:
+        service = make()
+        delay_determinacy(window, cfg.build_arrival(), service)
+        assert len(service._h_cache) == 3
+
+
+def _probing_edge(arrival, service):
+    """The stability edge search that confirms its tangent bound by a probe:
+    once the upper bound is within BISECT_TOL of the stable lo, it probes
+    lo + BISECT_TOL.  Returns the edge and the number of probes it made once
+    that bound held: one, or two where rounding leaves the bracket
+    [lo, lo + BISECT_TOL] a hair wider than BISECT_TOL and its midpoint is
+    probed as well."""
+    rate, scale = mellin._arrival_exponent(arrival)
+
+    def probe(s):
+        m_arr, m_srv, _, (d_srv, _) = mellin._transforms(s, arrival, service)
+        return m_arr * m_srv < 1.0, math.log(m_srv), d_srv
+
+    def model_root(l_x, slope, x, lo, hi):
+        return mellin._exact_arrival_root(rate, scale, l_x - slope * x, slope, lo, hi)
+
+    lo = mellin.S_FLOOR
+    stable, l_lo, g_lo = probe(lo)
+    if not stable:
+        return None, 0
+    hi, l_hi, g_hi = math.inf, math.nan, math.nan
+    ceiling = math.inf
+    confirming = 0
+    for _ in range(mellin.MAX_SEARCH_STEPS):
+        upper = model_root(l_lo, g_lo, lo, lo, hi)
+        if hi < math.inf:
+            upper = min(upper, model_root(l_hi, g_hi, hi, lo, hi))
+        if upper - lo <= mellin.BISECT_TOL:
+            confirming += 1
+            s = lo + mellin.BISECT_TOL
+        else:
+            s = upper
+            if hi < math.inf:
+                lower = model_root(l_lo, (l_hi - l_lo) / (hi - lo), lo, lo, hi)
+                if lo < lower and upper - lower <= mellin.BISECT_TOL:
+                    s = lower
+        s = min(s, mellin.S_CAP)
+        top = min(hi, ceiling)
+        if not lo < s < top:
+            s = 0.5 * (lo + top)
+        try:
+            stable, l_s, g_s = probe(s)
+        except QuadratureError:
+            if s <= 2.0 * lo:
+                raise
+            ceiling = s
+            continue
+        if stable:
+            if s == mellin.S_CAP:
+                return s, confirming
+            lo, l_lo, g_lo = s, l_s, g_s
+        else:
+            hi, l_hi, g_hi = s, l_s, g_s
+        if hi - lo <= mellin.BISECT_TOL:
+            return lo, confirming
+    raise SearchError("probing edge search did not close its bracket")
+
+
+def _edge_matrix():
+    """Every analysed link of the reference scenario (both users, all power
+    levels and codewords) at three blocklengths, both quadrature profiles and
+    both arrival variants, plus the search tests' link at rho 1e10-1e13."""
+    from ris_detnet.config import default_config
+    from ris_detnet.env import RisDownlinkEnv
+    cfg = default_config()
+    env = RisDownlinkEnv(cfg)
+    base = cfg.build_arrival()
+    for variant in ("standard_compound", "paper_literal"):
+        arrival = ArrivalModel(base.lambda_pkts, base.pkt_bits, variant)
+        for profile in ("train", "eval"):
+            for k in range(env.n_users):
+                for power in env.codebook.power_levels:
+                    for codeword in range(len(env.codebook.phase_codewords)):
+                        for n in (16.0, 64.0, 256.0):
+                            yield arrival, lambda k=k, p=float(power), c=codeword, n=n, q=profile: \
+                                ServiceModel(env.link_stats(k, p, c), cfg.build_secrecy(n),
+                                             QUADRATURE_PROFILES[q])
+    for log_rho in (10, 11, 12, 13):
+        for arrival in (ARRIVAL, ArrivalModel(0.05, 64, "paper_literal")):
+            yield arrival, lambda rho=10.0 ** log_rho: make_service(rho=rho)
+
+
+def test_certified_edge_equals_probing_edge():
+    # ending on the tangent certificate returns the very float the probing
+    # search returns, with the confirming probes' H the only ones missing
+    cases = confirmed = 0
+    for arrival, make in _edge_matrix():
+        service = make()
+        edge = stability_smax(arrival, service)
+        probed = set(service._h_cache)
+        ref_service = make()
+        ref, confirming = _probing_edge(arrival, ref_service)
+        assert edge == ref
+        assert probed <= set(ref_service._h_cache)
+        assert len(ref_service._h_cache) - len(probed) == confirming
+        cases += 1
+        confirmed += confirming > 0
+    assert cases == 392 and confirmed > cases // 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lam=st.floats(0.01, 2.0), pkt_bits=st.sampled_from([1, 2, 4, 16, 64, 256]),
+       log_rho=st.floats(10.0, 13.0), blocklength=st.floats(16.0, 1024.0),
+       variant=st.sampled_from(["standard_compound", "paper_literal"]))
+def test_stability_edge_is_certified_by_its_tangent_bound(lam, pkt_bits, log_rho,
+                                                          blocklength, variant):
+    # the edge returned is a probed stable point, and the tighter tangent
+    # root of its final bracket, built from the cached H, lies within
+    # BISECT_TOL above it, unless the probed bracket itself is that narrow
+    arrival = ArrivalModel(lam, pkt_bits, variant)
+    service = make_service(blocklength=blocklength, rho=10.0 ** log_rho)
+    try:
+        s_max = stability_smax(arrival, service)
+    except QuadratureError:
+        return
+    if s_max is None or s_max == mellin.S_CAP:
+        return
+    assert s_max in service._h_cache
+    assert stability_product(s_max, arrival, service) < 1.0
+    rate, scale = mellin._arrival_exponent(arrival)
+    hi = min((s for s in service._h_cache
+              if s > s_max and stability_product(s, arrival, service) >= 1.0),
+             default=math.inf)
+    if hi - s_max <= mellin.BISECT_TOL:
+        return
+    upper = math.inf
+    for x in (s_max, hi) if hi < math.inf else (s_max,):
+        _, m_srv, _, (slope, _) = mellin._transforms(x, arrival, service)
+        l_x = math.log(m_srv)
+        upper = min(upper, mellin._exact_arrival_root(rate, scale, l_x - slope * x,
+                                                      slope, s_max, hi))
+    assert s_max <= upper <= s_max + mellin.BISECT_TOL
+
+
 def test_stability_smax_raises_when_bracket_not_closed(monkeypatch):
     monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
     with pytest.raises(SearchError):
