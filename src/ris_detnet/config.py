@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, Topology
+from .channel import FadingParams, Topology, delta_sq_closed_form
 from .fbc import SecrecyParams
 from .mellin import ArrivalModel, DelayWindow
 
@@ -302,6 +302,13 @@ def _validate(cfg: ScenarioConfig):
             build()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
+    # the composite-gain variance of a user at Eve's position: where the
+    # path losses underflow it, Eve's calibrated SNR is 0 as well
+    with np.errstate(over="ignore"):
+        gain = delta_sq_closed_form(cfg.build_topology(user_at_eve), cfg.build_fading(), 0)
+    if not 0.0 < gain < math.inf:
+        raise ConfigError(f"[fading] pl0_db, alpha_direct and alpha_ris give a path gain "
+                          f"of {gain:g} at Eve's position; it must be positive and finite")
     if values["budget"]["p_max"] <= 0:
         raise ConfigError("[budget] p_max must be positive")
     cb = values["codebook"]

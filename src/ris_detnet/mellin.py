@@ -37,13 +37,20 @@ can read unstable in floating point, so it is always probed.
 The infimum search is safeguarded Newton inside a shrinking bracket.  Both
 searches read H through ``service_mellin_u_with_error``; the two horizons
 of a determinacy share the model's H cache.
+
+A determinacy decides the floor first.  By convexity, where d/ds log K >= 0
+at S_FLOOR for both horizons each infimum is the floor itself, and the
+stability edge plays no part in either bound; the determinacy then
+integrates H at the floor alone, and the edge search runs only when the
+result's ``s_max`` is read.  Otherwise the edge search and both infimum
+searches run at once.
 """
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -169,9 +176,10 @@ class ServiceModel:
     order^2 floats of the model's own per order (128 KiB at order 128),
     2 * order^2 at an order that has been accepted, plus a reference to the
     shared geometry (another order^2), freed with the model or when
-    ``delay_determinacy`` returns, so that a caller who keeps models keeps
-    only their H values.  Geometry of orders up to 256 may stay in the
-    module's LRU, which never holds more than GEOMETRY_BUDGET_BYTES.
+    ``delay_determinacy`` or ``stability_edge`` returns, so that a caller
+    who keeps models keeps only their H values.  Geometry of orders up to
+    256 may stay in the module's LRU, which never holds more than
+    GEOMETRY_BUDGET_BYTES.
     """
 
     stats: LinkStats
@@ -194,17 +202,31 @@ class ViolationBound:
 
 @dataclass
 class DeterminacyResult:
-    """Window-determinacy bound varpi plus all diagnostics."""
+    """Window-determinacy bound varpi plus all diagnostics.
+
+    ``s_max`` is the right edge of the stability interval, NaN when it is
+    empty.  Where the floor certified both bounds, no bound needs the edge,
+    so ``s_max_source`` holds a zero-argument callable that searches it on
+    the first read of ``s_max`` and is then replaced by the float; a search
+    that raises leaves the callable in place, so every read raises until
+    one succeeds.  Otherwise ``s_max_source`` is the float from the start.
+    """
 
     varpi: float
     bound_tmin: float
     bound_tmax: float
     s_star_tmin: float
     s_star_tmax: float
-    s_max: float
     ordering_ok: bool
     clamped: dict
     quadrature_error_estimate: float
+    s_max_source: object = field(default=math.nan, repr=False, compare=False)
+
+    @property
+    def s_max(self) -> float:
+        if callable(self.s_max_source):
+            self.s_max_source = self.s_max_source()
+        return self.s_max_source
 
 
 def _arrival_exponent(model: ArrivalModel):
@@ -698,23 +720,50 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
                           float(f_star))
 
 
+def stability_edge(arrival: ArrivalModel, service: ServiceModel) -> float:
+    """s_max as a DeterminacyResult reports it: the edge ``stability_smax``
+    returns, or NaN when the stability interval is empty.  The model's
+    quadrature tensors are released on return; its H values stay cached."""
+    try:
+        s_max = stability_smax(arrival, service)
+    finally:
+        service._h_tensors.clear()
+    return math.nan if s_max is None else float(s_max)
+
+
 def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
                       service: ServiceModel) -> DeterminacyResult:
     """Window-determinacy bound: clamped inf-kernel difference of Lemma form.
 
     varpi = bound(t_min) - bound(t_max), clamped to [0, 1]; ordering_ok
     records the checkable surrogate bound(t_max) <= bound(t_min) of the
-    kernel-ordering constraint.  The quadrature error estimate is the larger
-    one of the two H values behind the reported bounds, at s_star_tmin and
-    s_star_tmax, so probes that no bound uses do not move it.  The model's
-    quadrature tensors are released on return; its H values stay cached.
+    kernel-ordering constraint.
+
+    K is probed at S_FLOOR for both horizons first.  Where the floor is
+    stable and d/ds log K >= 0 there for both horizons, each infimum is the
+    floor by convexity: each bound is min(1, K(S_FLOOR, T)), both s_star
+    are S_FLOOR, and s_max is searched only when read (``stability_edge``
+    on this model).  Otherwise ``stability_smax`` and a ``violation_bound``
+    per horizon run now, and an unstable floor gives the vacuous bound.  The
+    quadrature error estimate is the larger one of the two H values behind
+    the reported bounds, at s_star_tmin and s_star_tmax, so probes that no
+    bound uses do not move it.  The model's quadrature tensors are released
+    on return; its H values stay cached.
     """
+    horizons = (window.t_min, window.t_max)
     try:
-        s_max = stability_smax(arrival, service)
-        b_min = violation_bound(window.t_min, arrival, service, s_max=s_max)
-        b_max = violation_bound(window.t_max, arrival, service, s_max=s_max)
+        floor = [_log_kernel_probe(S_FLOOR, t, arrival, service) for t in horizons]
+        if all(k < math.inf and f1 >= 0.0 for k, f1, _ in floor):
+            bounds = [ViolationBound(min(1.0, k), S_FLOOR, math.nan, False, k)
+                      for k, _, _ in floor]
+            s_max = partial(stability_edge, arrival, service)
+        else:
+            edge = stability_smax(arrival, service)
+            bounds = [violation_bound(t, arrival, service, s_max=edge) for t in horizons]
+            s_max = bounds[0].s_max
     finally:
         service._h_tensors.clear()
+    b_min, b_max = bounds
     ordering_ok = b_max.bound <= b_min.bound + 1e-12
     varpi = min(1.0, max(0.0, b_min.bound - b_max.bound))
     clamped = {
@@ -729,9 +778,9 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
         bound_tmax=b_max.bound,
         s_star_tmin=b_min.s_star,
         s_star_tmax=b_max.s_star,
-        s_max=b_min.s_max,
         ordering_ok=ordering_ok,
         clamped=clamped,
         quadrature_error_estimate=max(service._h_cache[b.s_star][1]
                                       for b in (b_min, b_max)),
+        s_max_source=s_max,
     )

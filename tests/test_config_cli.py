@@ -308,7 +308,8 @@ def test_cli_hostile_config_exits_cleanly(tmp_path, command, section, line):
     ("", ["--seed", "-1"], "--seed"),
     ("[codebook]\nphase_mode = quantized\nphase_bits = 80\n", [], "[codebook] phase_bits"),
     ("[topology]\nelement_spacing = -1\n", [], "[topology] element_spacing"),
-], ids=["power", "cbl", "seed", "seed-flag", "phase_bits", "element_spacing"])
+    ("[fading]\npl0_db = -4000\n", [], "[fading] pl0_db"),
+], ids=["power", "cbl", "seed", "seed-flag", "phase_bits", "element_spacing", "pl0_db"])
 def test_cli_analyze_hostile_value_is_config_error(tmp_path, capsys, text, argv, key):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(text)
@@ -330,9 +331,10 @@ def test_cli_analyze_huge_user_count_is_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# one key at a boundary value on a tiny scenario: analyze exits 0 with finite
-# cells (s_max may be infinite only for a vacuous bound) or 1 with a config
-# error; a huge value runs only in a child process with a 1 GiB address space
+# one or two keys at a boundary value on a tiny scenario: analyze exits 0
+# with finite cells (s_max may be infinite only for a vacuous bound) or 1
+# with a config error; a huge value runs only in a child process with a
+# 1 GiB address space
 TINY = {"topology": {"n_users": "1", "n_elements": "4"}}
 HUGE = "1e12"
 BOUNDARY_CASES = [(section, key, value)
@@ -341,10 +343,12 @@ BOUNDARY_CASES = [(section, key, value)
                   for value in ("0", "-1", "0.5", HUGE) + getattr(parser, "options", ())]
 
 
-def one_key_scenario(section, key, value):
+def boundary_scenario(*cases):
+    """TINY with each (section, key, value) case set."""
     sections = {s: dict(kv) for s, kv in TINY.items()}
-    pair = SCHEMA[section][key][0] is config_module._parse_pair
-    sections.setdefault(section, {})[key] = f"{value} {value}" if pair else value
+    for section, key, value in cases:
+        pair = SCHEMA[section][key][0] is config_module._parse_pair
+        sections.setdefault(section, {})[key] = f"{value} {value}" if pair else value
     return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                    for s, kv in sections.items())
 
@@ -367,11 +371,24 @@ def run_analyze(cfg_path, out, in_child):
 @example(case=("codebook", "n_power_levels", HUGE))
 @example(case=("codebook", "n_codewords", HUGE))
 def test_cli_analyze_one_key_boundary_value_exits_cleanly(case):
-    section, key, value = case
+    assert_analyze_exits_cleanly(case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases=st.tuples(st.sampled_from(BOUNDARY_CASES), st.sampled_from(BOUNDARY_CASES))
+       .filter(lambda pair: pair[0][:2] != pair[1][:2]))
+@example(cases=(("fading", "alpha_ris", HUGE), ("fading", "alpha_direct", HUGE)))
+def test_cli_analyze_two_key_boundary_values_exit_cleanly(cases):
+    assert_analyze_exits_cleanly(*cases)
+
+
+def assert_analyze_exits_cleanly(*cases):
+    """analyze on TINY with the cases set exits cleanly (see above)."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "s.cfg"
-        cfg_path.write_text(one_key_scenario(section, key, value))
-        code, err = run_analyze(cfg_path, Path(tmp) / "o", in_child=value == HUGE)
+        cfg_path.write_text(boundary_scenario(*cases))
+        code, err = run_analyze(cfg_path, Path(tmp) / "o",
+                                in_child=any(value == HUGE for _, _, value in cases))
         assert "Traceback" not in err
         if code == 1:
             assert err.startswith("config error")
@@ -521,6 +538,23 @@ def test_cli_unbracketed_stability_edge_exit_code(tmp_path, monkeypatch, capsys)
     cfg_path.write_text(SMALL)
     assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "stability edge not bracketed" in capsys.readouterr().err
+
+
+def test_cli_unbracketed_edge_on_floor_bounds(tmp_path, monkeypatch, capsys):
+    # on the reference config both bounds sit at the floor and need no edge:
+    # with the edge search out of probes, analyze, which reports s_max,
+    # exits 2, while simulate reads no s_max and reports the same bounds
+    from ris_detnet import mellin
+    ref = ["--config", str(REFERENCE_CFG)]
+    sim = ["--packets", "2000", "--sampler", "model"]
+    assert main(["simulate", *ref, "--out", str(tmp_path / "want"), *sim]) == 0
+    monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
+    capsys.readouterr()
+    assert main(["analyze", *ref, "--out", str(tmp_path / "a")]) == 2
+    assert "stability edge not bracketed" in capsys.readouterr().err
+    assert main(["simulate", *ref, "--out", str(tmp_path / "got"), *sim]) == 0
+    want, got = ((tmp_path / d / "simulate.csv").read_text() for d in ("want", "got"))
+    assert got == want
 
 
 def test_cli_sweep_single_value_matches_analyze(tmp_path):

@@ -1,17 +1,23 @@
+import gc
 import json
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ris_detnet as rd
-from ris_detnet import channel
+from ris_detnet import channel, mellin
 from ris_detnet.channel import (LinkStats, PhaseShiftConfig, composite_gain,
                                 sample_channels)
 from ris_detnet.env import (HybridAction, RisDownlinkEnv, StateVector,
                             build_codebook)
 from ris_detnet.fbc import SecrecyParams
-from ris_detnet.mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy
+from ris_detnet.mellin import (QUADRATURE_PROFILES, SearchError, ServiceModel,
+                               delay_determinacy)
+
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
 
 
 def scenario(n_users=2, **overrides):
@@ -145,7 +151,6 @@ def test_step_reward_is_mean_varpi(monkeypatch):
         def __init__(self, v):
             self.varpi = v
             self.clamped = {"vacuous": False}
-            self.s_max = 1.0
 
     fakes = {0: FakeResult(0.2), 1: FakeResult(0.4)}
     monkeypatch.setattr(env, "varpi",
@@ -205,6 +210,66 @@ def test_varpi_memo_hit_builds_no_link_stats(monkeypatch):
     assert built == []
     env.varpi(1, power, 2, 64.0, profile="eval")
     assert len(built) == 1
+
+
+def _reachable(root):
+    """Every object reachable from root through gc referents, classes and
+    modules excluded."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_unread_memo_entry_holds_no_model_and_no_env():
+    # a floor-certified memo entry whose s_max is unread keeps no tensor,
+    # model, link statistics or secrecy parameters, and no cycle back to its
+    # env: a deleted env dies by reference counting alone
+    env = RisDownlinkEnv(rd.load_config(REFERENCE_CFG))
+    env.varpi(0, env.p_max / env.n_users, 0, env.n_max / env.n_users, profile="eval")
+    env.reset(episode=0)
+    for t in range(3):
+        env.step([HybridAction(t, 0.5), HybridAction(t + 1, 0.25)])
+    results = [r for cache in env._varpi_cache.values() for r in cache.values()]
+    assert len(results) >= 4 and all(callable(r.s_max_source) for r in results)
+    for res in results:
+        held = [o for o in _reachable(res) if isinstance(
+            o, (np.ndarray, ServiceModel, LinkStats, SecrecyParams, RisDownlinkEnv))]
+        assert held == []
+    gc.disable()
+    try:
+        env_ref = weakref.ref(env)
+        del env
+        assert env_ref() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError):
+        results[0].s_max
+
+
+def test_unbracketed_edge_keeps_the_floor_bounds(monkeypatch):
+    # with the edge search out of probes, a floor-certified determinacy still
+    # scores its bounds; every read of s_max raises until a search succeeds
+    cfg = rd.load_config(REFERENCE_CFG)
+    alloc = (0, cfg.get("budget", "p_max") / 2, 0, cfg.get("budget", "n_max") / 2)
+    envs = [RisDownlinkEnv(cfg) for _ in range(2)]
+    want = envs[0].varpi(*alloc, profile="eval")
+    monkeypatch.setattr(mellin, "MAX_SEARCH_STEPS", 1)
+    got = envs[1].varpi(*alloc, profile="eval")
+    assert (got.varpi, got.bound_tmin, got.bound_tmax, got.s_star_tmin, got.s_star_tmax,
+            got.quadrature_error_estimate) == (
+        want.varpi, want.bound_tmin, want.bound_tmax, want.s_star_tmin,
+        want.s_star_tmax, want.quadrature_error_estimate)
+    for _ in range(2):
+        with pytest.raises(SearchError, match="stability edge not bracketed"):
+            got.s_max
+    monkeypatch.undo()
+    assert got.s_max == want.s_max
 
 
 def test_step_updates_prev_action_with_applied_values():

@@ -664,14 +664,123 @@ def test_stability_edge_h_evaluation_count():
 
 def test_cold_determinacy_integrates_h_at_three_points():
     # one cold eval-profile determinacy at each analyze user of the reference
-    # config: the edge search ends on its tangent certificate, with no probe
-    # past the edge, and both infimum searches read only cached H
+    # config, with s_max read: the edge search ends on its tangent
+    # certificate, with no probe past the edge, and both infimum searches
+    # read only cached H
     cfg, users = _reference_config_services()
     window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
         service = make()
-        delay_determinacy(window, cfg.build_arrival(), service)
+        res = delay_determinacy(window, cfg.build_arrival(), service)
+        assert res.s_max > mellin.S_FLOOR
         assert len(service._h_cache) == 3
+
+
+@pytest.mark.parametrize("profile", ["eval", "train"])
+def test_floor_certified_determinacy_integrates_h_at_the_floor_only(profile):
+    # both bounds of each analyze user of the reference config sit at the
+    # floor, so while s_max is unread H is integrated at S_FLOOR alone
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    for make in users:
+        eval_service = make()
+        service = ServiceModel(eval_service.stats, eval_service.secrecy,
+                               QUADRATURE_PROFILES[profile])
+        res = delay_determinacy(window, cfg.build_arrival(), service)
+        assert res.s_star_tmin == res.s_star_tmax == mellin.S_FLOOR
+        assert list(service._h_cache) == [mellin.S_FLOOR]
+        assert callable(res.s_max_source)
+
+
+def _eager_determinacy(window, arrival, service):
+    """The determinacy with no floor shortcut: stability_smax, then one
+    violation_bound per horizon, assembled into the result's fields."""
+    try:
+        s_max = stability_smax(arrival, service)
+        b_min, b_max = (violation_bound(t, arrival, service, s_max=s_max)
+                        for t in (window.t_min, window.t_max))
+    finally:
+        service._h_tensors.clear()
+    ordering_ok = b_max.bound <= b_min.bound + 1e-12
+    return _determinacy_fields(
+        varpi=min(1.0, max(0.0, b_min.bound - b_max.bound)),
+        bound_tmin=b_min.bound, bound_tmax=b_max.bound,
+        s_star_tmin=b_min.s_star, s_star_tmax=b_max.s_star, s_max=b_min.s_max,
+        ordering_ok=ordering_ok,
+        clamped={"tmin": b_min.raw_inf > 1.0, "tmax": b_max.raw_inf > 1.0,
+                 "vacuous": b_min.vacuous, "ordering": not ordering_ok},
+        quadrature_error_estimate=max(service._h_cache[b.s_star][1]
+                                      for b in (b_min, b_max)))
+
+
+def _determinacy_fields(**fields):
+    """Every field of a determinacy, floats as their exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+def _result_fields(res):
+    names = ("varpi", "bound_tmin", "bound_tmax", "s_star_tmin", "s_star_tmax",
+             "s_max", "ordering_ok", "clamped", "quadrature_error_estimate")
+    return _determinacy_fields(**{k: getattr(res, k) for k in names})
+
+
+def _assert_equals_eager_determinacy(window, arrival, make):
+    """delay_determinacy on a fresh model equals the eager determinacy on
+    another, bit for bit with s_max read; a search error of the eager one
+    is raised by the call or, where the floor certified both bounds, by
+    every read of s_max."""
+    try:
+        want = _eager_determinacy(window, arrival, make())
+    except (QuadratureError, SearchError) as exc:
+        try:
+            res = delay_determinacy(window, arrival, make())
+        except type(exc):
+            return
+        for _ in range(2):
+            with pytest.raises(type(exc)):
+                res.s_max
+        return
+    assert _result_fields(delay_determinacy(window, arrival, make())) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_rho=st.floats(9.0, 14.0), log_delta=st.floats(-11.0, -7.0),
+       ups=st.floats(0.0, 4.0), log_lam_e=st.floats(-3.0, 1.0),
+       lam=st.floats(0.01, 2.0), pkt_bits=st.sampled_from([1, 2, 4, 16, 64, 256]),
+       blocklength=st.floats(16.0, 1024.0), t_min=st.integers(0, 8),
+       width=st.integers(1, 24), profile=st.sampled_from(["eval", "train"]))
+def test_determinacy_equals_eager_searches(log_rho, log_delta, ups, log_lam_e, lam,
+                                           pkt_bits, blocklength, t_min, width, profile):
+    # the floor shortcut and the s_max search on read change no field
+    delta = 10.0 ** log_delta
+
+    def make():
+        return ServiceModel(make_stats(delta=delta, ups=ups * delta, rho=10.0 ** log_rho,
+                                       lam_e=10.0 ** log_lam_e),
+                            SecrecyParams(2e-6, 1e-3, blocklength),
+                            QUADRATURE_PROFILES[profile])
+
+    _assert_equals_eager_determinacy(DelayWindow(t_min, t_min + width),
+                                     ArrivalModel(lam, pkt_bits), make)
+
+
+@pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
+def test_determinacy_equals_eager_searches_on_equivalence_cases(window, arrival, make):
+    _assert_equals_eager_determinacy(window, arrival, make)
+
+
+def test_s_max_read_searches_once_and_keeps_the_float():
+    # a floor-certified result searches the edge on its first read only, on
+    # the model it scored, and then holds the float
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    service = users[0]()
+    res = delay_determinacy(window, cfg.build_arrival(), service)
+    first = res.s_max
+    assert isinstance(res.s_max_source, float) and res.s_max_source == first
+    probed = dict(service._h_cache)
+    assert res.s_max == first and service._h_cache == probed
+    assert service._h_tensors == {}
 
 
 def _probing_edge(arrival, service):
