@@ -306,7 +306,7 @@ def _fit_taken(net: Mlp, inputs: np.ndarray, idx: np.ndarray, targets: np.ndarra
     loss = float(np.mean(0.5 * err ** 2))
     dq = np.zeros_like(q)
     dq[rows, idx] = err / q.shape[0]
-    grads, _ = net.backward(cache, dq)
+    grads = net.backward(cache, dq)
     return loss, grads
 
 
@@ -352,7 +352,7 @@ def actor_loss_and_grads(batch: dict, actor: Mlp, critic: Mlp, mode: str,
         dq = np.full_like(q, -1.0 / b)
         dprobs = np.zeros_like(probs)
     grad_params = pass_q_param_grad(critic, acts, dq)
-    grads, _ = actor.backward(cache_a, (grad_params, dprobs))
+    grads = actor.backward(cache_a, (grad_params, dprobs))
     return loss, grads
 
 

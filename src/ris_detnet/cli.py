@@ -22,7 +22,7 @@ from .charts import svg_line_chart
 from .config import (ConfigError, ScenarioConfig, config_hash, default_config,
                      dump_config, fmt_value, load_config)
 from .env import RisDownlinkEnv
-from .mellin import QuadratureError, SearchError
+from .mellin import QuadratureError, SearchError, stability_edge
 from .queuesim import (CENSOR_SLOTS, WARMUP_SLOTS, fbc_service_sampler,
                        model_matched_service_sampler, simulate_queue)
 
@@ -73,12 +73,13 @@ def analyze_rows(cfg: ScenarioConfig):
     rows = []
     for k in range(env.n_users):
         res = env.varpi(k, power, codeword, cbl, profile="eval")
+        s_max = stability_edge(env.arrival, env.service_model(k, power, codeword, cbl, "eval"))
         flags = "|".join(name for name, on in sorted(res.clamped.items()) if on) or "none"
         rows.append({
             "user_id": k, "t_min": env.window.t_min, "t_max": env.window.t_max,
             "varpi": res.varpi, "bound_tmin": res.bound_tmin,
             "bound_tmax": res.bound_tmax, "s_star_tmin": res.s_star_tmin,
-            "s_star_tmax": res.s_star_tmax, "s_max": res.s_max,
+            "s_star_tmax": res.s_star_tmax, "s_max": s_max,
             "ordering_ok": res.ordering_ok, "clamped_flags": flags,
             "quadrature_error_estimate": res.quadrature_error_estimate,
         })

@@ -10,7 +10,6 @@ and pays the mean as reward.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .channel import (LinkStats, PhaseShiftConfig, composite_gain,
                       delta_sq_closed_form, draws_per_block, estimate_eve_mean_snr,
                       los_components, sample_channels)
 from .config import ScenarioConfig
-from .mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy, stability_edge
+from .mellin import QUADRATURE_PROFILES, ServiceModel, delay_determinacy
 
 T_SCALE = 32.0   # slot counts are fed to the networks divided by this
 
@@ -136,25 +135,6 @@ class StepOutcome:
     info: dict
 
 
-class _MemoEdge:
-    """The s_max of a memoised determinacy whose bounds the floor
-    certified: ``stability_edge`` on a fresh model of its memo key, run
-    when the result's s_max is first read.  The env is held weakly, so an
-    unread memo entry keeps no model, no link statistics and no cycle back
-    to its env."""
-
-    __slots__ = ("env", "key", "profile")
-
-    def __init__(self, env, key, profile):
-        self.env, self.key, self.profile = weakref.ref(env), key, profile
-
-    def __call__(self):
-        env = self.env()
-        if env is None:
-            raise ReferenceError("the environment that scored this determinacy is gone")
-        return stability_edge(env.arrival, env._service(self.key, self.profile))
-
-
 class RisDownlinkEnv:
     """Quasi-static geometry, per-slot block fading, analytic reward.
 
@@ -236,9 +216,8 @@ class RisDownlinkEnv:
         """Cached window-determinacy result for one user's allocation.
 
         (user, power, codeword_index) stands for its LinkStats in the memo
-        key, so a hit builds none.  Where the floor certified the bounds,
-        the result's s_max is searched on first read, on a fresh model of
-        the key (see ``_MemoEdge``).
+        key, so a hit builds none.  A miss scores a fresh model of the key
+        (``service_model``), which the memo does not keep.
         """
         # train profile trades blocklength resolution (4 channel uses) for
         # cache hits; evaluation scores the exact continuous value
@@ -248,18 +227,18 @@ class RisDownlinkEnv:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        result = delay_determinacy(self.window, self.arrival, self._service(key, profile))
-        if callable(result.s_max_source):
-            result.s_max_source = _MemoEdge(self, key, profile)
+        result = delay_determinacy(self.window, self.arrival,
+                                   self.service_model(*key[:4], profile))
         cache[key] = result
         return result
 
-    def _service(self, key, profile: str) -> ServiceModel:
-        """A fresh service model for a memo key (user, power, codeword,
-        blocklength, t_min, t_max) under a quadrature profile."""
-        user, power, codeword_index, n_q = key[:4]
+    def service_model(self, user: int, power: float, codeword_index: int,
+                      blocklength: float, profile: str) -> ServiceModel:
+        """A fresh service model of one user's allocation under a quadrature
+        profile, with the blocklength as given."""
         return ServiceModel(self.link_stats(user, power, codeword_index),
-                            self.config.build_secrecy(n_q), QUADRATURE_PROFILES[profile])
+                            self.config.build_secrecy(blocklength),
+                            QUADRATURE_PROFILES[profile])
 
     # -- gym-like surface -------------------------------------------------
 

@@ -41,16 +41,16 @@ of a determinacy share the model's H cache.
 A determinacy decides the floor first.  By convexity, where d/ds log K >= 0
 at S_FLOOR for both horizons each infimum is the floor itself, and the
 stability edge plays no part in either bound; the determinacy then
-integrates H at the floor alone, and the edge search runs only when the
-result's ``s_max`` is read.  Otherwise the edge search and both infimum
-searches run at once.
+integrates H at the floor alone and searches no edge.  Otherwise the edge
+search and both infimum searches run.  A caller that reports the edge
+searches it with ``stability_edge``.
 """
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,15 +202,7 @@ class ViolationBound:
 
 @dataclass
 class DeterminacyResult:
-    """Window-determinacy bound varpi plus all diagnostics.
-
-    ``s_max`` is the right edge of the stability interval, NaN when it is
-    empty.  Where the floor certified both bounds, no bound needs the edge,
-    so ``s_max_source`` holds a zero-argument callable that searches it on
-    the first read of ``s_max`` and is then replaced by the float; a search
-    that raises leaves the callable in place, so every read raises until
-    one succeeds.  Otherwise ``s_max_source`` is the float from the start.
-    """
+    """Window-determinacy bound varpi plus all diagnostics."""
 
     varpi: float
     bound_tmin: float
@@ -220,13 +212,6 @@ class DeterminacyResult:
     ordering_ok: bool
     clamped: dict
     quadrature_error_estimate: float
-    s_max_source: object = field(default=math.nan, repr=False, compare=False)
-
-    @property
-    def s_max(self) -> float:
-        if callable(self.s_max_source):
-            self.s_max_source = self.s_max_source()
-        return self.s_max_source
 
 
 def _arrival_exponent(model: ArrivalModel):
@@ -721,9 +706,10 @@ def violation_bound(horizon: int, arrival: ArrivalModel, service: ServiceModel,
 
 
 def stability_edge(arrival: ArrivalModel, service: ServiceModel) -> float:
-    """s_max as a DeterminacyResult reports it: the edge ``stability_smax``
-    returns, or NaN when the stability interval is empty.  The model's
-    quadrature tensors are released on return; its H values stay cached."""
+    """The right edge s_max of the stability interval as ``analyze`` reports
+    it: the edge ``stability_smax`` returns, or NaN when the interval is
+    empty.  The model's quadrature tensors are released on return; its H
+    values stay cached."""
     try:
         s_max = stability_smax(arrival, service)
     finally:
@@ -741,14 +727,13 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
 
     K is probed at S_FLOOR for both horizons first.  Where the floor is
     stable and d/ds log K >= 0 there for both horizons, each infimum is the
-    floor by convexity: each bound is min(1, K(S_FLOOR, T)), both s_star
-    are S_FLOOR, and s_max is searched only when read (``stability_edge``
-    on this model).  Otherwise ``stability_smax`` and a ``violation_bound``
-    per horizon run now, and an unstable floor gives the vacuous bound.  The
-    quadrature error estimate is the larger one of the two H values behind
-    the reported bounds, at s_star_tmin and s_star_tmax, so probes that no
-    bound uses do not move it.  The model's quadrature tensors are released
-    on return; its H values stay cached.
+    floor by convexity: each bound is min(1, K(S_FLOOR, T)) and both s_star
+    are S_FLOOR, with no edge searched.  Otherwise ``stability_smax`` and a
+    ``violation_bound`` per horizon run, and an unstable floor gives the
+    vacuous bound.  The quadrature error estimate is the larger one of the
+    two H values behind the reported bounds, at s_star_tmin and s_star_tmax,
+    so probes that no bound uses do not move it.  The model's quadrature
+    tensors are released on return; its H values stay cached.
     """
     horizons = (window.t_min, window.t_max)
     try:
@@ -756,11 +741,9 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
         if all(k < math.inf and f1 >= 0.0 for k, f1, _ in floor):
             bounds = [ViolationBound(min(1.0, k), S_FLOOR, math.nan, False, k)
                       for k, _, _ in floor]
-            s_max = partial(stability_edge, arrival, service)
         else:
             edge = stability_smax(arrival, service)
             bounds = [violation_bound(t, arrival, service, s_max=edge) for t in horizons]
-            s_max = bounds[0].s_max
     finally:
         service._h_tensors.clear()
     b_min, b_max = bounds
@@ -782,5 +765,4 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
         clamped=clamped,
         quadrature_error_estimate=max(service._h_cache[b.s_star][1]
                                       for b in (b_min, b_max)),
-        s_max_source=s_max,
     )

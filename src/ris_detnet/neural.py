@@ -131,9 +131,9 @@ class Mlp:
         """Exact gradients of the forward map.
 
         grad_out: identity head — array like the output; actor head — tuple
-        (grad_params, grad_probs).  Returns (param_grads in parameters()
-        order, grad_input); param_grads are views into one flat array that
-        this call allocates, in the layout of ``flat``.
+        (grad_params, grad_probs).  Returns the parameter gradients in
+        parameters() order, as views into one flat array that this call
+        allocates, in the layout of ``flat``.
         """
         acts, pre, head_vals = cache
         if self.head == "identity":
@@ -154,8 +154,7 @@ class Mlp:
             np.matmul(delta.T, acts[i], out=grads[2 * i])           # dW
             if i > 0:
                 delta = (delta @ self.weights[i]) * (acts[i] > 0.0)
-        grad_input = delta @ self.weights[0]
-        return grads, grad_input
+        return grads
 
     def copy(self) -> "Mlp":
         twin = Mlp.__new__(Mlp)
@@ -294,12 +293,12 @@ def clip_global_norm(grads, max_norm: float):
     """Rescale the whole gradient list when its global L2 norm exceeds max_norm.
 
     The squares are summed array by array, in list order.  A rescaled list
-    is views into one new flat array, scaled at once, like the gradients
-    Mlp.backward returns.
+    is views into one new flat array of the gradients' dtype, scaled at once
+    in place, like the gradients Mlp.backward returns.
     """
     total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
     if total > max_norm > 0:
-        scale = max_norm / total
-        flat = np.concatenate([g.ravel() for g in grads]) * scale
+        flat = np.concatenate([g.ravel() for g in grads])
+        flat *= max_norm / total
         grads = split_flat(flat, [g.shape for g in grads])
     return grads

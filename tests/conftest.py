@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# one BLAS thread per test process, set before numpy is first imported: the
+# learners' small matrices gain nothing from a pool, and a default pool
+# oversubscribes a host that runs anything else
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from ris_detnet.channel import FadingParams, Topology
 

@@ -17,8 +17,8 @@ from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
                                arrival_mellin, delay_determinacy, kernel,
                                kernel_from_values, lemma1_kernel,
                                service_mellin_u,
-                               service_mellin_u_with_error, stability_product,
-                               stability_smax, violation_bound)
+                               service_mellin_u_with_error, stability_edge,
+                               stability_product, stability_smax, violation_bound)
 
 LN2 = math.log(2.0)
 
@@ -626,18 +626,21 @@ def _equivalence_cases():
 
 @pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
 def test_search_matches_dense_scan_reference(window, arrival, make):
-    # stated tolerance: |bound difference| <= 1e-9, s_max within BISECT_TOL
-    # of the reference edge, identical flags, no quadrature failure
-    res = delay_determinacy(window, arrival, make())
+    # stated tolerance: |bound difference| <= 1e-9, the edge of the
+    # determinacy's model within BISECT_TOL of the reference edge, identical
+    # flags, no quadrature failure
+    service = make()
+    res = delay_determinacy(window, arrival, service)
+    edge = stability_edge(arrival, service)
     s_max, bounds, flags = _reference_determinacy(window, arrival, make())
     assert abs(res.bound_tmin - bounds[0]) <= 1e-9
     assert abs(res.bound_tmax - bounds[1]) <= 1e-9
     assert res.clamped == flags
     if s_max is None:
-        assert math.isnan(res.s_max)
+        assert math.isnan(edge)
     else:
-        assert abs(res.s_max - s_max) <= mellin.BISECT_TOL + 1e-10
-        assert stability_product(res.s_max, arrival, make()) < 1.0
+        assert abs(edge - s_max) <= mellin.BISECT_TOL + 1e-10
+        assert stability_product(edge, arrival, make()) < 1.0
 
 
 def test_determinacy_h_evaluation_count():
@@ -655,31 +658,30 @@ def test_stability_edge_h_evaluation_count():
     # the exact-arrival bounds find the edge of each analyze user of the
     # reference config in a few probes; the doubling climb took 10-11
     cfg, users = _reference_config_services()
-    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
         service = make()
-        delay_determinacy(window, cfg.build_arrival(), service)
+        stability_edge(cfg.build_arrival(), service)
         assert len(service._h_cache) <= 6
 
 
 def test_cold_determinacy_integrates_h_at_three_points():
     # one cold eval-profile determinacy at each analyze user of the reference
-    # config, with s_max read: the edge search ends on its tangent
-    # certificate, with no probe past the edge, and both infimum searches
-    # read only cached H
+    # config, then the edge on its model: the edge search starts from the
+    # determinacy's floor probe and ends on its tangent certificate, with no
+    # probe past the edge
     cfg, users = _reference_config_services()
     window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
         service = make()
-        res = delay_determinacy(window, cfg.build_arrival(), service)
-        assert res.s_max > mellin.S_FLOOR
+        delay_determinacy(window, cfg.build_arrival(), service)
+        assert stability_edge(cfg.build_arrival(), service) > mellin.S_FLOOR
         assert len(service._h_cache) == 3
 
 
 @pytest.mark.parametrize("profile", ["eval", "train"])
 def test_floor_certified_determinacy_integrates_h_at_the_floor_only(profile):
     # both bounds of each analyze user of the reference config sit at the
-    # floor, so while s_max is unread H is integrated at S_FLOOR alone
+    # floor, so H is integrated at S_FLOOR alone
     cfg, users = _reference_config_services()
     window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
     for make in users:
@@ -689,7 +691,6 @@ def test_floor_certified_determinacy_integrates_h_at_the_floor_only(profile):
         res = delay_determinacy(window, cfg.build_arrival(), service)
         assert res.s_star_tmin == res.s_star_tmax == mellin.S_FLOOR
         assert list(service._h_cache) == [mellin.S_FLOOR]
-        assert callable(res.s_max_source)
 
 
 def _eager_determinacy(window, arrival, service):
@@ -720,27 +721,24 @@ def _determinacy_fields(**fields):
 
 def _result_fields(res):
     names = ("varpi", "bound_tmin", "bound_tmax", "s_star_tmin", "s_star_tmax",
-             "s_max", "ordering_ok", "clamped", "quadrature_error_estimate")
+             "ordering_ok", "clamped", "quadrature_error_estimate")
     return _determinacy_fields(**{k: getattr(res, k) for k in names})
 
 
 def _assert_equals_eager_determinacy(window, arrival, make):
     """delay_determinacy on a fresh model equals the eager determinacy on
-    another, bit for bit with s_max read; a search error of the eager one
-    is raised by the call or, where the floor certified both bounds, by
-    every read of s_max."""
+    another, bit for bit, and stability_edge on a third equals the eager
+    edge; a search error of the eager one is raised by the determinacy or,
+    where the floor certified both bounds, by the edge search."""
     try:
         want = _eager_determinacy(window, arrival, make())
     except (QuadratureError, SearchError) as exc:
-        try:
-            res = delay_determinacy(window, arrival, make())
-        except type(exc):
-            return
-        for _ in range(2):
-            with pytest.raises(type(exc)):
-                res.s_max
+        with pytest.raises(type(exc)):
+            delay_determinacy(window, arrival, make())
+            stability_edge(arrival, make())
         return
-    assert _result_fields(delay_determinacy(window, arrival, make())) == want
+    got = _result_fields(delay_determinacy(window, arrival, make()))
+    assert {**got, "s_max": stability_edge(arrival, make()).hex()} == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -751,7 +749,8 @@ def _assert_equals_eager_determinacy(window, arrival, make):
        width=st.integers(1, 24), profile=st.sampled_from(["eval", "train"]))
 def test_determinacy_equals_eager_searches(log_rho, log_delta, ups, log_lam_e, lam,
                                            pkt_bits, blocklength, t_min, width, profile):
-    # the floor shortcut and the s_max search on read change no field
+    # the floor shortcut changes no field, and the edge searched apart from
+    # the determinacy is the eager one
     delta = 10.0 ** log_delta
 
     def make():
@@ -767,20 +766,6 @@ def test_determinacy_equals_eager_searches(log_rho, log_delta, ups, log_lam_e, l
 @pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
 def test_determinacy_equals_eager_searches_on_equivalence_cases(window, arrival, make):
     _assert_equals_eager_determinacy(window, arrival, make)
-
-
-def test_s_max_read_searches_once_and_keeps_the_float():
-    # a floor-certified result searches the edge on its first read only, on
-    # the model it scored, and then holds the float
-    cfg, users = _reference_config_services()
-    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
-    service = users[0]()
-    res = delay_determinacy(window, cfg.build_arrival(), service)
-    first = res.s_max
-    assert isinstance(res.s_max_source, float) and res.s_max_source == first
-    probed = dict(service._h_cache)
-    assert res.s_max == first and service._h_cache == probed
-    assert service._h_tensors == {}
 
 
 def _probing_edge(arrival, service):
@@ -986,7 +971,7 @@ def test_error_estimate_ignores_probes_past_edge():
     window = DelayWindow(2, 8)
     plain = delay_determinacy(window, ARRIVAL, make())
     service = make()
-    _, far_err = service_mellin_u_with_error(2.0 * plain.s_max, service)
+    _, far_err = service_mellin_u_with_error(2.0 * stability_edge(ARRIVAL, make()), service)
     assert far_err > plain.quadrature_error_estimate
     probed = delay_determinacy(window, ARRIVAL, service)
     assert probed.quadrature_error_estimate == plain.quadrature_error_estimate

@@ -98,7 +98,7 @@ def test_backward_matches_finite_differences_identity_head():
         return 0.5 * float(np.sum((out - target) ** 2))
 
     out, cache = net.forward(x)
-    analytic, _ = net.backward(cache, out - target)
+    analytic = net.backward(cache, out - target)
     numeric = finite_diff_grads(net, loss_fn)
     assert max_rel_err(analytic, numeric) < 1e-4
 
@@ -115,34 +115,16 @@ def test_backward_matches_finite_differences_actor_head():
         return float(np.sum(wp * params) + np.sum(wq * probs))
 
     (_, _), cache = net.forward(x)
-    analytic, _ = net.backward(cache, (wp, wq))
+    analytic = net.backward(cache, (wp, wq))
     numeric = finite_diff_grads(net, loss_fn)
     assert max_rel_err(analytic, numeric) < 1e-4
-
-
-def test_backward_input_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    net = Mlp([3, 7, 2], rng)
-    x0 = rng.normal(size=3)
-    w = rng.normal(size=2)
-    out, cache = net.forward(x0)
-    _, grad_in = net.backward(cache, np.atleast_2d(w))
-    h = 1e-6
-    for i in range(3):
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        up = float(np.dot(net.forward(xp)[0][0], w))
-        dn = float(np.dot(net.forward(xm)[0][0], w))
-        assert grad_in[0, i] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 def test_backward_zero_gradient():
     net = Mlp([3, 5, 2], np.random.default_rng(1))
     out, cache = net.forward(np.ones(3))
-    grads, grad_in = net.backward(cache, np.zeros_like(out))
+    grads = net.backward(cache, np.zeros_like(out))
     assert all(np.all(g == 0) for g in grads)
-    assert np.all(grad_in == 0)
 
 
 def test_backward_linear_layer_outer_product():
@@ -150,7 +132,7 @@ def test_backward_linear_layer_outer_product():
     x = np.array([0.3, -1.2])
     g = np.array([[2.0, -1.0]])
     _, cache = net.forward(x)
-    grads, _ = net.backward(cache, g)
+    grads = net.backward(cache, g)
     assert np.allclose(grads[0], g.T @ np.atleast_2d(x))   # dL/dW = g x^T
     assert np.allclose(grads[1], g[0])                     # dL/db = g
 
@@ -229,6 +211,16 @@ def test_clip_global_norm():
     assert clip_global_norm(small, 10.0)[0] is small[0]
 
 
+def test_firing_clip_keeps_float32_gradients():
+    # the float64 scale must not promote a float32 net's gradients, or Adam
+    # would step the float32 net in float64
+    grads = [np.array([3.0, 4.0], dtype=np.float32), np.array([[12.0]], dtype=np.float32)]
+    clipped = clip_global_norm(grads, 1.0)    # norm 13
+    assert all(g.dtype == np.float32 for g in clipped)
+    assert np.allclose(np.concatenate([g.ravel() for g in clipped]),
+                       np.array([3.0, 4.0, 12.0]) / 13.0, rtol=1e-7, atol=0.0)
+
+
 def test_float32_net_holds_its_float64_twin_weights_rounded():
     dims = [5, 7, 3]
     net64 = Mlp(dims, np.random.default_rng(6))
@@ -239,8 +231,7 @@ def test_float32_net_holds_its_float64_twin_weights_rounded():
     x = np.random.default_rng(7).normal(size=(4, 5))
     out, cache = net32.forward(x)
     assert out.dtype == np.float32
-    grads, grad_in = net32.backward(cache, np.ones((4, 3)))
-    assert grad_in.dtype == np.float32
+    grads = net32.backward(cache, np.ones((4, 3)))
     assert all(g.dtype == np.float32 for g in grads)
     assert net32.copy().dtype == np.float32
 
@@ -311,18 +302,18 @@ def _backward_reference(net, cache, grad_out):
         grads.append(delta.T @ acts[i])
         if i > 0:
             delta = (delta @ net.weights[i]) * (acts[i] > 0.0)
-    grad_input = delta @ net.weights[0]
     grads.reverse()
-    return grads, grad_input
+    return grads
 
 
 def _clip_reference(grads, max_norm):
-    """clip_global_norm as it was before the flat gradient array: a rescaled
-    list is one new array per gradient array."""
+    """clip_global_norm as it was before the flat gradient array, with the
+    rescaled arrays rounded back to the gradients' dtype: a rescaled list
+    is one new array per gradient array."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total > max_norm > 0:
         scale = max_norm / total
-        grads = [g * scale for g in grads]
+        grads = [(g * scale).astype(g.dtype) for g in grads]
     return grads
 
 
@@ -378,15 +369,14 @@ def test_backward_flat_gradients_equal_per_array_backward(dtype, head):
         out, cache = net.forward(x)
         grad_out = (rng.normal(size=(batch, 8)) if head == "identity"
                     else (rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))))
-        grads, grad_in = net.backward(cache, grad_out)
-        want, want_in = _backward_reference(net, cache, grad_out)
+        grads = net.backward(cache, grad_out)
+        want = _backward_reference(net, cache, grad_out)
         assert [g.shape for g in grads] == [w.shape for w in want]
         for g, w in zip(grads, want, strict=True):
             assert g.dtype == w.dtype == dtype
             assert np.array_equal(_bits(g), _bits(w))
             assert g.base is grads[0].base
         assert grads[0].base.size == net.flat.size
-        assert np.array_equal(_bits(grad_in), _bits(want_in))
         calls.append(([g.copy() for g in grads], grads))
     # the second call wrote a fresh flat array: the first call's views hold
     first_copy, first_views = calls[0]
@@ -426,7 +416,7 @@ def test_flat_optimizer_step_equals_per_array_steps(dtype, optimizer):
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["fires", "holds"])
 def test_flat_clipping_equals_per_array_clipping(dtype, max_norm):
     # the flat step on clipped views against the per-array step on the
-    # per-array clipped list, dtype included: a float64 scale upcasts both
+    # per-array clipped list, dtype included: both keep the gradients' dtype
     dims = [5, 12, 4]
     flat_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
     ref_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
@@ -435,7 +425,7 @@ def test_flat_clipping_equals_per_array_clipping(dtype, max_norm):
     for _ in range(5):
         x = rng.normal(size=(8, 5))
         out, cache = flat_net.forward(x)
-        grads, _ = flat_net.backward(cache, rng.normal(size=out.shape))
+        grads = flat_net.backward(cache, rng.normal(size=out.shape))
         want = _clip_reference([g.copy() for g in grads], max_norm)
         got = clip_global_norm(grads, max_norm)
         assert (got is grads) == (max_norm == 1e6)
