@@ -9,6 +9,7 @@ machinery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -204,7 +205,7 @@ class LinkStats:
 
     def __post_init__(self):
         vals = (self.delta_k_sq, self.upsilon_k, self.rho, self.lambda_eve)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError("non-finite link statistic")
         if self.delta_k_sq <= 0 or self.rho <= 0 or self.lambda_eve <= 0:
             raise ValueError("delta_k_sq, rho and lambda_eve must be positive")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -27,7 +27,7 @@ class SecrecyParams:
     """Decoding error rate, leakage probability and blocklength.
 
     The blocklength is kept continuous (it is an RL control).  The Qinv
-    factors of the penalties are computed on first use and kept; the
+    factors and the constant penalties are computed at construction; the
     parameters are frozen, so they cannot go stale.
     """
 
@@ -42,35 +42,32 @@ class SecrecyParams:
             raise ValueError("sigma_leak must be in (0, 1)")
         if self.blocklength < 1.0:
             raise ValueError("blocklength must be >= 1")
-
-    @cached_property
-    def _qinv_eps(self) -> float:
-        return q_inv(self.epsilon_e)
-
-    @cached_property
-    def _qinv_sigma(self) -> float:
-        return q_inv(self.sigma_leak)
-
-    @cached_property
-    def pen_u(self) -> float:
-        """Decoding-error penalty Qinv(eps_e)/sqrt(n), in nats per channel use,
-        with the user dispersion taken as 1 (the analysed service model)."""
-        return self._qinv_eps / math.sqrt(self.blocklength)
-
-    @cached_property
-    def pen_e_max(self) -> float:
-        """Upper bound of ``pen_e`` over Eve's SNR (V_e < 1), and 0 when
-        sigma > 1/2 makes the penalty a bonus."""
-        return max(0.0, self._qinv_sigma) / math.sqrt(self.blocklength)
+        qinv_eps = q_inv(self.epsilon_e)
+        qinv_sigma = q_inv(self.sigma_leak)
+        root_n = math.sqrt(self.blocklength)
+        object.__setattr__(self, "_qinv_eps", qinv_eps)
+        object.__setattr__(self, "_qinv_sigma", qinv_sigma)
+        # decoding-error penalty Qinv(eps_e)/sqrt(n), in nats per channel use,
+        # with the user dispersion taken as 1 (the analysed service model)
+        object.__setattr__(self, "pen_u", qinv_eps / root_n)
+        # upper bound of pen_e over Eve's SNR (V_e < 1), and 0 when
+        # sigma > 1/2 makes the penalty a bonus
+        object.__setattr__(self, "pen_e_max", max(0.0, qinv_sigma) / root_n)
 
     def pen_e(self, gamma_e):
         """Leakage penalty sqrt(V_e/n)*Qinv(sigma) at Eve's SNR gamma_e, in
         nats per channel use."""
-        return np.sqrt(dispersion(gamma_e) / self.blocklength) * self._qinv_sigma
+        return self.pen_e_of_dispersion(dispersion(gamma_e))
+
+    def pen_e_of_dispersion(self, v_e):
+        """``pen_e`` from Eve's dispersion V_e = ``dispersion(gamma_e)``."""
+        return np.sqrt(v_e / self.blocklength) * self._qinv_sigma
 
 
+@lru_cache(maxsize=64)
 def q_inv(p: float) -> float:
-    """Inverse of the Gaussian Q function; Q(q_inv(p)) = p."""
+    """Inverse of the Gaussian Q function; Q(q_inv(p)) = p.  Memoised by
+    value: every model of a run shares its epsilon_e and sigma_leak."""
     if not 0.0 < p < 1.0:
         raise ValueError("q_inv argument must be in (0, 1)")
     return -_STD.inv_cdf(p)

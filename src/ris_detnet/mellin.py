@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import LinkStats
-from .fbc import SecrecyParams
+from .fbc import SecrecyParams, dispersion
 
 LN2 = math.log(2.0)
 # both improper H(s) integrals are cut where the exponential weight of the
@@ -255,6 +255,7 @@ class _Geometry:
     gamma_e: np.ndarray         # outer nodes, in Eve's SNR
     log_ratio: np.ndarray       # log1p(gamma_e) - log1p(gamma_k), (order, order)
     decay: np.ndarray           # gamma_e / m
+    v_e: np.ndarray             # Eve's channel dispersion at gamma_e
 
     @classmethod
     def build(cls, lam_e, m, order):
@@ -271,7 +272,7 @@ class _Geometry:
         gamma_e = -np.log1p(-xo) / lam_e                       # (order,)
         gamma_k = gamma_e[:, None] - m * np.log1p(-xi)[None, :]  # (order, order)
         log_ratio = np.log1p(gamma_e)[:, None] - np.log1p(gamma_k, out=gamma_k)
-        arrays = (wo, wi, gamma_e, log_ratio, gamma_e / m)
+        arrays = (wo, wi, gamma_e, log_ratio, gamma_e / m, dispersion(gamma_e))
         for x in arrays:
             x.flags.writeable = False
         return cls(*arrays)
@@ -279,7 +280,7 @@ class _Geometry:
     @property
     def nbytes(self):
         return sum(x.nbytes for x in (self.wo, self.wi, self.gamma_e, self.log_ratio,
-                                      self.decay))
+                                      self.decay, self.v_e))
 
 
 class _GeometryCache:
@@ -334,8 +335,8 @@ class _HTensors:
     @classmethod
     def build(cls, stats, secrecy, order):
         geo = _geometry(stats.lambda_eve, stats.snr_scale, order)
-        return cls(geo, secrecy.pen_e(geo.gamma_e), secrecy.pen_u, stats.los_log,
-                   np.empty_like(geo.log_ratio))
+        return cls(geo, secrecy.pen_e_of_dispersion(geo.v_e), secrecy.pen_u,
+                   stats.los_log, np.empty_like(geo.log_ratio))
 
     def h(self, a):
         """H at a = s/ln2: one exp tensor, left in ``work``, and one
@@ -622,11 +623,17 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None
 
 
 def _log_kernel_probe(s, horizon, arrival, service):
-    """(K(s, T), d/ds log K, d^2/ds^2 log K); K = inf off the stability set.
+    """(K(s, T), d/ds log K, d^2/ds^2 log K); K = inf off the stability set."""
+    return _log_kernel(_transforms(s, arrival, service), horizon)
+
+
+def _log_kernel(transforms, horizon):
+    """``_log_kernel_probe`` at horizon T from the ``_transforms`` of its s,
+    so that several horizons share one.
 
     log K = T*log M_psi - log(1 - e^P) with e^P the transform product.
     """
-    m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv) = _transforms(s, arrival, service)
+    m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv) = transforms
     try:
         k = kernel_from_values(m_arr, m_srv, horizon)
     except StabilityError:
@@ -725,10 +732,11 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     records the checkable surrogate bound(t_max) <= bound(t_min) of the
     kernel-ordering constraint.
 
-    K is probed at S_FLOOR for both horizons first.  Where the floor is
-    stable and d/ds log K >= 0 there for both horizons, each infimum is the
-    floor by convexity: each bound is min(1, K(S_FLOOR, T)) and both s_star
-    are S_FLOOR, with no edge searched.  Otherwise ``stability_smax`` and a
+    K is probed at S_FLOOR for both horizons first, from one evaluation of
+    the transforms.  Where the floor is stable and d/ds log K >= 0 there for
+    both horizons, each infimum is the floor by convexity: each bound is
+    min(1, K(S_FLOOR, T)) and both s_star are S_FLOOR, with no edge
+    searched.  Otherwise ``stability_smax`` and a
     ``violation_bound`` per horizon run, and an unstable floor gives the
     vacuous bound.  The quadrature error estimate is the larger one of the
     two H values behind the reported bounds, at s_star_tmin and s_star_tmax,
@@ -737,7 +745,8 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     """
     horizons = (window.t_min, window.t_max)
     try:
-        floor = [_log_kernel_probe(S_FLOOR, t, arrival, service) for t in horizons]
+        at_floor = _transforms(S_FLOOR, arrival, service)
+        floor = [_log_kernel(at_floor, t) for t in horizons]
         if all(k < math.inf and f1 >= 0.0 for k, f1, _ in floor):
             bounds = [ViolationBound(min(1.0, k), S_FLOOR, math.nan, False, k)
                       for k, _, _ in floor]

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import math
 import weakref
 
@@ -8,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from ris_detnet import env as env_module
 from ris_detnet import mellin
 from ris_detnet.channel import LinkStats
+from ris_detnet.cli import main
+from ris_detnet.config import dump_config
 from ris_detnet.fbc import SecrecyParams, dispersion, q_inv
 from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
                                QuadratureError, QuadratureSpec, SearchError,
@@ -19,6 +24,7 @@ from ris_detnet.mellin import (QUADRATURE_PROFILES, ArrivalModel, DelayWindow,
                                service_mellin_u,
                                service_mellin_u_with_error, stability_edge,
                                stability_product, stability_smax, violation_bound)
+from test_acceptance import ris_scenario
 
 LN2 = math.log(2.0)
 
@@ -766,6 +772,58 @@ def test_determinacy_equals_eager_searches(log_rho, log_delta, ups, log_lam_e, l
 @pytest.mark.parametrize("window,arrival,make", _equivalence_cases())
 def test_determinacy_equals_eager_searches_on_equivalence_cases(window, arrival, make):
     _assert_equals_eager_determinacy(window, arrival, make)
+
+
+class _CountingTol(float):
+    """A LOG_K_TOL that counts the stops it makes: a float subclass that
+    overrides the reflected comparison answers ``x <= LOG_K_TOL`` through
+    its own ``__ge__``."""
+
+    stops = 0
+
+    def __ge__(self, other):
+        hit = float(self) >= other
+        _CountingTol.stops += hit
+        return hit
+
+
+def test_criterion_7_training_takes_the_log_k_tol_stop(tmp_path, monkeypatch):
+    # criterion 7's training scores interior infima, which the floor does not
+    # certify: violation_bound's Newton search stops on LOG_K_TOL there, each
+    # determinacy equals the eager one bit for bit, and its bounds lie within
+    # 1e-13 relative of the same search without that stop (a LOG_K_TOL of
+    # 1e-12 or more moves some of them further)
+    monkeypatch.setattr(mellin, "LOG_K_TOL", _CountingTol(mellin.LOG_K_TOL))
+    _CountingTol.stops = 0
+    scored = []
+
+    def recording(window, arrival, service):
+        res = delay_determinacy(window, arrival, service)
+        scored.append((window, arrival, (service.stats, service.secrecy,
+                                         service.quadrature), res))
+        return res
+
+    monkeypatch.setattr(env_module, "delay_determinacy", recording)
+    cfg = ris_scenario(3)
+    cfg.values["agent"]["episodes"] = 2
+    cfg.values["agent"]["warmup"] = 20.0
+    cfg.values["env"]["episode_steps"] = 10
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(dump_config(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert _CountingTol.stops >= 1
+    assert any(res.s_star_tmin != mellin.S_FLOOR for *_, res in scored)
+    for window, arrival, model, res in scored:
+        want = _eager_determinacy(window, arrival, ServiceModel(*model))
+        del want["s_max"]
+        assert _result_fields(res) == want
+    monkeypatch.setattr(mellin, "LOG_K_TOL", -math.inf)
+    for window, arrival, model, res in scored:
+        full = delay_determinacy(window, arrival, ServiceModel(*model))
+        for got, tight in ((res.bound_tmin, full.bound_tmin),
+                           (res.bound_tmax, full.bound_tmax)):
+            assert got == pytest.approx(tight, rel=1e-13, abs=0.0)
 
 
 def _probing_edge(arrival, service):
