@@ -17,10 +17,14 @@ matrix-vector pair.  Of the rest, the order x order log ratio, the nodes
 and the weights depend only on (lambda_E, rho*delta^2, order), so one
 byte-bounded LRU shares them across codewords and blocklengths; each
 ServiceModel adds the codeword and blocklength terms once per order it
-reaches and keeps them until its determinacy is done.  dH/ds and
-d^2H/ds^2, which steer the searches below, weight the exp tensor of the
+reaches and keeps them until its determinacy is done.  dH/ds, which the
+floor probe and the searches below read, weights the exp tensor of the
 accepted rung by the slope of the log integrand, once per s and only at
-that rung.
+that rung.  d^2H/ds^2, which the searches read through ``_transforms``
+and the floor probe never reads, weights that tensor by the slope once
+more on its first read: from the accepted rung's buffer while it still
+holds s, else after integrating H and dH/ds again at that rung, with the
+same bits either way.
 
 log K(s, T) is convex on the stability interval: T*log M_psi(1-s) is a
 log-moment-generating function, the log product
@@ -41,9 +45,9 @@ of a determinacy share the model's H cache.
 A determinacy decides the floor first.  By convexity, where d/ds log K >= 0
 at S_FLOOR for both horizons each infimum is the floor itself, and the
 stability edge plays no part in either bound; the determinacy then
-integrates H at the floor alone and searches no edge.  Otherwise the edge
-search and both infimum searches run.  A caller that reports the edge
-searches it with ``stability_edge``.
+integrates H at the floor alone, reads H and dH/ds there and searches no
+edge.  Otherwise the edge search and both infimum searches run.  A caller
+that reports the edge searches it with ``stability_edge``.
 """
 from __future__ import annotations
 
@@ -171,7 +175,8 @@ class ServiceModel:
 
     Holds a per-instance cache of H(s) evaluations, keyed by s, so that the
     searches at several horizons reuse the expensive quadrature.  Each entry
-    is (H, error estimate, dH/ds, d^2H/ds^2).  ``_h_tensors`` keeps the
+    is (H, error estimate, dH/ds, d^2H/ds^2, accepted order); d^2H/ds^2 is
+    None until its first read (``_h_curvature``).  ``_h_tensors`` keeps the
     s-independent quadrature tensors of each order reached, keyed by order:
     order^2 floats of the model's own per order (128 KiB at order 128),
     2 * order^2 at an order that has been accepted, plus a reference to the
@@ -319,18 +324,20 @@ class _HTensors:
 
     The log integrand of H is a * log_ratio + a * pen_e - gamma_e / m plus
     the constant a * pen_u - upsilon/delta^2, so only the exp depends on s.
-    ``work`` and ``slope`` are (order, order) and the model's own; ``work``
-    holds the exp tensor of the last ``h`` call, which ``derivatives``
-    reads.  ``slope`` is built by the first ``derivatives`` call, so an
-    order the doubling never accepts never pays for it.
+    ``work`` and ``slope`` are (order, order) and the model's own.  ``h``
+    leaves the exp tensor in ``work``; ``dh`` weights it by the slope in
+    place and records its a in ``sloped_at``, and ``ddh`` weights it once
+    more.  ``slope`` is built by the first ``dh`` call, so an order the
+    doubling never accepts never pays for it.
     """
 
     geo: _Geometry
     pen_e: np.ndarray
     pen_u: float
     los_log: float              # -upsilon/delta^2
-    work: np.ndarray            # the exp tensor of the last h(a)
+    work: np.ndarray            # the exp tensor of the last h(a), or its sloped form
     slope: np.ndarray | None = None  # ln2 * d/ds of the log integrand
+    sloped_at: float | None = None   # the a whose sloped tensor ``work`` holds
 
     @classmethod
     def build(cls, stats, secrecy, order):
@@ -345,39 +352,35 @@ class _HTensors:
         weight = np.multiply(a, geo.log_ratio, out=self.work)
         weight += (a * self.pen_e - geo.decay)[:, None]
         np.exp(weight, out=weight)
+        self.sloped_at = None
         return math.exp(self.los_log + a * self.pen_u) * float(geo.wo @ (weight @ geo.wi))
 
-    def derivatives(self, a):
-        """(dH/ds, d^2H/ds^2) at the a of the last ``h`` call.
+    def dh(self, a):
+        """dH/ds at the a of the last ``h`` call.
 
         The log integrand is linear in s with slope
-        (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2, so the
-        derivatives weight the exp tensor in ``work`` by that slope, once
-        and twice; ``work`` is overwritten.
+        (log1p gamma_e - log1p gamma_k + pen_e + pen_u)/ln2, so dH/ds
+        weights the exp tensor in ``work`` by that slope, in place.
         """
         geo = self.geo
         if self.slope is None:
             self.slope = geo.log_ratio + (self.pen_e + self.pen_u)[:, None]
-        prefac = math.exp(self.los_log + a * self.pen_u)
         sloped = np.multiply(self.work, self.slope, out=self.work)
-        d1 = prefac * float(geo.wo @ (sloped @ geo.wi)) / LN2
-        sloped *= self.slope
-        return d1, prefac * float(geo.wo @ (sloped @ geo.wi)) / (LN2 * LN2)
+        self.sloped_at = a
+        return math.exp(self.los_log + a * self.pen_u) * float(geo.wo @ (sloped @ geo.wi)) / LN2
 
-
-def _h_eval(s, model, order):
-    """Fixed-order tensor evaluation of H(s); returns (H, the order's
-    ``_HTensors``), whose ``derivatives(s / LN2)`` then gives dH/ds and
-    d^2H/ds^2 at this s.
-
-    The s-independent tensors come from ``model._h_tensors``, built on the
-    first call at each order (see ``_HTensors``).
-    """
-    t = model._h_tensors.get(order)
-    if t is None:
-        t = model._h_tensors[order] = _HTensors.build(model.stats, model.secrecy,
-                                                      order)
-    return t.h(s / LN2), t
+    def ddh(self, a):
+        """d^2H/ds^2 at a: the sloped tensor of a weighted by the slope once
+        more, in place.  Unless ``work`` holds that sloped tensor, H and
+        dH/ds at a are integrated again first, which gives the same bits."""
+        if self.sloped_at != a:
+            self.h(a)
+            self.dh(a)
+        geo = self.geo
+        self.work *= self.slope
+        self.sloped_at = None
+        return (math.exp(self.los_log + a * self.pen_u) * float(geo.wo @ (self.work @ geo.wi))
+                / (LN2 * LN2))
 
 
 def _h_tail_bound(s, stats, secrecy):
@@ -408,7 +411,7 @@ def service_mellin_u(s: float, model: ServiceModel) -> float:
 def service_mellin_u_with_error(s: float, model: ServiceModel):
     """(H(s), error estimate): H at the first order that agrees with half of
     it within the tolerances, plus the analytic tail bound.  The cache entry
-    also keeps dH/ds and d^2H/ds^2, formed only at that order.
+    also keeps dH/ds, formed only at that order, and the order itself.
     """
     if s < 0:
         raise ValueError("transform argument must be >= 0")
@@ -416,24 +419,42 @@ def service_mellin_u_with_error(s: float, model: ServiceModel):
     if cached is not None:
         return cached[:2]
     spec = model.quadrature
+    tensors = model._h_tensors
+    a = s / LN2
     order = BASE_ORDER
     prev = None
-    entry = None
     for _ in range(spec.max_subdivisions):
-        val, tensors = _h_eval(s, model, order)
+        t = tensors.get(order)
+        if t is None:
+            t = tensors[order] = _HTensors.build(model.stats, model.secrecy, order)
+        val = t.h(a)
         if prev is not None:
             err = abs(val - prev)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
                 err += _h_tail_bound(s, model.stats, model.secrecy)
-                entry = (val, err, *tensors.derivatives(s / LN2))
-                break
+                model._h_cache[s] = (val, err, t.dh(a), None, order)
+                return val, err
         prev = val
         order *= 2
-    if entry is None:
-        raise QuadratureError(
-            f"H(s={s:.6g}) did not converge within {spec.max_subdivisions} refinements")
-    model._h_cache[s] = entry
-    return entry[:2]
+    raise QuadratureError(
+        f"H(s={s:.6g}) did not converge within {spec.max_subdivisions} refinements")
+
+
+def _h_curvature(s, model):
+    """d^2H/ds^2 at an s whose H is cached, formed on its first read.
+
+    It is formed at the order the doubling accepted for s: from the sloped
+    tensor that dH/ds left in that order's ``work`` while it is still s's,
+    else after integrating H and dH/ds again there, on the model's tensors
+    or, once they are released, on tensors built for this read alone.
+    """
+    val, err, dh, ddh, order = model._h_cache[s]
+    if ddh is None:
+        t = (model._h_tensors.get(order)
+             or _HTensors.build(model.stats, model.secrecy, order))
+        ddh = t.ddh(s / LN2)
+        model._h_cache[s] = (val, err, dh, ddh, order)
+    return ddh
 
 
 def _service_transform(s: float, model: ServiceModel) -> float:
@@ -489,17 +510,23 @@ def stability_product(s: float, arrival: ArrivalModel, service: ServiceModel) ->
 
 def _transforms(s: float, arrival: ArrivalModel, service: ServiceModel):
     """M_zeta(1+s), M_psi(1-s) and the first two s-derivatives of the log of
-    each, as (m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv)).
+    each, as (m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv)).  The one
+    reader of d^2H/ds^2, so the first call at an s forms it.
     """
     m_arr = arrival_mellin(1.0 + s, arrival)
     rate, scale = _arrival_exponent(arrival)
-    d_arr = math.inf if rate * s > 700.0 else scale * rate * math.exp(rate * s)
+    d_arr = _arrival_log_slope(s, rate, scale)
     eps = service.secrecy.epsilon_e
-    m_srv = _service_transform(s, service)
-    _, _, dh, ddh = service._h_cache[s]
-    d_srv = (1.0 - eps) * dh / m_srv
+    h, _ = service_mellin_u_with_error(s, service)
+    m_srv = (1.0 - eps) * h + eps
+    d_srv = (1.0 - eps) * service._h_cache[s][2] / m_srv
     return (m_arr, m_srv, (d_arr, rate * d_arr),
-            (d_srv, (1.0 - eps) * ddh / m_srv - d_srv * d_srv))
+            (d_srv, (1.0 - eps) * _h_curvature(s, service) / m_srv - d_srv * d_srv))
+
+
+def _arrival_log_slope(s, rate, scale):
+    """d/ds log M_zeta(1+s) = scale*rate*exp(rate*s), saturated to +inf."""
+    return math.inf if rate * s > 700.0 else scale * rate * math.exp(rate * s)
 
 
 def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
@@ -507,9 +534,10 @@ def _exact_arrival_root(rate, scale, c0, c1, lo, hi=math.inf):
 
     f is convex, so Newton steps that start where f >= 0 descend onto the
     root and never pass it; an unbounded hi is first replaced by doubling
-    from lo.  f and f' at hi are carried, not evaluated again.  Where f overflows the step is a bisection instead.  Returns
-    the last point with f >= 0: lo itself when f(lo) >= 0 after all, and
-    a finite hi when the root lies past it.  Costs no H.
+    from lo.  f and f' at hi are carried, not evaluated again.  Where f
+    overflows the step is a bisection instead.  Returns the last point with
+    f >= 0: lo itself when f(lo) >= 0 after all, and a finite hi when the
+    root lies past it.  Costs no H.
     """
     def f(s):
         x = rate * s
@@ -560,12 +588,13 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None
     s of the search, and its H would lie past s_max*(1 - S_MAX_MARGIN),
     where no bound or error estimate reads it.  The chord root stays
     probed: it is only a lower bound on the edge, and in floating point it
-    can read unstable, so the end returned is always a probed stable one.  A bound past S_CAP probes S_CAP itself, which is
-    returned when stable.  Far past the edge H may not converge (at high
-    rho the upper bound from the floor can overshoot there): a probe more
-    than twice the stable side that raises QuadratureError only caps the
-    later probes, which then halve the gap to it; a failure within twice
-    the stable side, where a doubling climb would probe too, is raised.
+    can read unstable, so the end returned is always a probed stable one.
+    A bound past S_CAP probes S_CAP itself, which is returned when stable.
+    Far past the edge H may not converge (at high rho the upper bound from
+    the floor can overshoot there): a probe more than twice the stable side
+    that raises QuadratureError only caps the later probes, which then
+    halve the gap to it; a failure within twice the stable side, where a
+    doubling climb would probe too, is raised.
 
     Returns a probed stable lo whose tangent bound certifies the edge
     within BISECT_TOL above it, or the stable side of a probed bracket no
@@ -623,17 +652,11 @@ def stability_smax(arrival: ArrivalModel, service: ServiceModel) -> float | None
 
 
 def _log_kernel_probe(s, horizon, arrival, service):
-    """(K(s, T), d/ds log K, d^2/ds^2 log K); K = inf off the stability set."""
-    return _log_kernel(_transforms(s, arrival, service), horizon)
-
-
-def _log_kernel(transforms, horizon):
-    """``_log_kernel_probe`` at horizon T from the ``_transforms`` of its s,
-    so that several horizons share one.
+    """(K(s, T), d/ds log K, d^2/ds^2 log K); K = inf off the stability set.
 
     log K = T*log M_psi - log(1 - e^P) with e^P the transform product.
     """
-    m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv) = transforms
+    m_arr, m_srv, (d_arr, dd_arr), (d_srv, dd_srv) = _transforms(s, arrival, service)
     try:
         k = kernel_from_values(m_arr, m_srv, horizon)
     except StabilityError:
@@ -732,46 +755,56 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     records the checkable surrogate bound(t_max) <= bound(t_min) of the
     kernel-ordering constraint.
 
-    K is probed at S_FLOOR for both horizons first, from one evaluation of
-    the transforms.  Where the floor is stable and d/ds log K >= 0 there for
-    both horizons, each infimum is the floor by convexity: each bound is
+    K is probed at S_FLOOR for both horizons first, from H and dH/ds there
+    alone.  Where the floor is stable and d/ds log K >= 0 there for both
+    horizons, each infimum is the floor by convexity: each bound is
     min(1, K(S_FLOOR, T)) and both s_star are S_FLOOR, with no edge
-    searched.  Otherwise ``stability_smax`` and a
-    ``violation_bound`` per horizon run, and an unstable floor gives the
-    vacuous bound.  The quadrature error estimate is the larger one of the
-    two H values behind the reported bounds, at s_star_tmin and s_star_tmax,
-    so probes that no bound uses do not move it.  The model's quadrature
-    tensors are released on return; its H values stay cached.
+    searched.  Otherwise ``stability_smax`` and a ``violation_bound`` per
+    horizon run, and an unstable floor gives the vacuous bound.  The
+    quadrature error estimate is the larger one of the two H values behind
+    the reported bounds, at s_star_tmin and s_star_tmax, so probes that no
+    bound uses do not move it.  The model's quadrature tensors are released
+    on return; its H values stay cached.
     """
-    horizons = (window.t_min, window.t_max)
+    t_min, t_max = window.t_min, window.t_max
     try:
-        at_floor = _transforms(S_FLOOR, arrival, service)
-        floor = [_log_kernel(at_floor, t) for t in horizons]
-        if all(k < math.inf and f1 >= 0.0 for k, f1, _ in floor):
-            bounds = [ViolationBound(min(1.0, k), S_FLOOR, math.nan, False, k)
-                      for k, _, _ in floor]
+        # K and d/ds log K at the floor as _log_kernel_probe forms them, from
+        # H and dH/ds alone
+        h, err = service_mellin_u_with_error(S_FLOOR, service)
+        eps = service.secrecy.epsilon_e
+        m_srv = (1.0 - eps) * h + eps
+        product = arrival_mellin(1.0 + S_FLOOR, arrival) * m_srv
+        certified = product < 1.0
+        if certified:
+            d_srv = (1.0 - eps) * service._h_cache[S_FLOOR][2] / m_srv
+            g1 = product / (1.0 - product)
+            p1 = _arrival_log_slope(S_FLOOR, *_arrival_exponent(arrival)) + d_srv
+            certified = t_min * d_srv + g1 * p1 >= 0.0 and t_max * d_srv + g1 * p1 >= 0.0
+        if certified:
+            raw_min = m_srv ** t_min / (1.0 - product)
+            raw_max = m_srv ** t_max / (1.0 - product)
+            s_star_min = s_star_max = S_FLOOR
+            vacuous = False
         else:
             edge = stability_smax(arrival, service)
-            bounds = [violation_bound(t, arrival, service, s_max=edge) for t in horizons]
+            b_min, b_max = (violation_bound(t, arrival, service, s_max=edge)
+                            for t in (t_min, t_max))
+            raw_min, raw_max = b_min.raw_inf, b_max.raw_inf
+            s_star_min, s_star_max = b_min.s_star, b_max.s_star
+            vacuous = b_min.vacuous
+            err = max(service._h_cache[s_star_min][1], service._h_cache[s_star_max][1])
     finally:
         service._h_tensors.clear()
-    b_min, b_max = bounds
-    ordering_ok = b_max.bound <= b_min.bound + 1e-12
-    varpi = min(1.0, max(0.0, b_min.bound - b_max.bound))
-    clamped = {
-        "tmin": b_min.raw_inf > 1.0,
-        "tmax": b_max.raw_inf > 1.0,
-        "vacuous": b_min.vacuous,
-        "ordering": not ordering_ok,
-    }
+    bound_min, bound_max = min(1.0, raw_min), min(1.0, raw_max)
+    ordering_ok = bound_max <= bound_min + 1e-12
     return DeterminacyResult(
-        varpi=varpi,
-        bound_tmin=b_min.bound,
-        bound_tmax=b_max.bound,
-        s_star_tmin=b_min.s_star,
-        s_star_tmax=b_max.s_star,
+        varpi=min(1.0, max(0.0, bound_min - bound_max)),
+        bound_tmin=bound_min,
+        bound_tmax=bound_max,
+        s_star_tmin=s_star_min,
+        s_star_tmax=s_star_max,
         ordering_ok=ordering_ok,
-        clamped=clamped,
-        quadrature_error_estimate=max(service._h_cache[b.s_star][1]
-                                      for b in (b_min, b_max)),
+        clamped={"tmin": raw_min > 1.0, "tmax": raw_max > 1.0, "vacuous": vacuous,
+                 "ordering": not ordering_ok},
+        quadrature_error_estimate=err,
     )

@@ -389,6 +389,13 @@ def test_cli_analyze_three_key_boundary_values_exit_cleanly(cases):
     assert_analyze_exits_cleanly(*cases)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases=st.tuples(*[st.sampled_from(BOUNDARY_CASES)] * 4)
+       .filter(lambda cases: len({case[:2] for case in cases}) == 4))
+def test_cli_analyze_four_key_boundary_values_exit_cleanly(cases):
+    assert_analyze_exits_cleanly(*cases)
+
+
 def assert_analyze_exits_cleanly(*cases):
     """analyze on TINY with the cases set exits cleanly (see above)."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -187,21 +187,35 @@ H_ORDERS = st.sampled_from([16, 32, 64, 128, 256])
 H_ARGS = st.floats(1e-4, 8.0)
 
 
+def _h_tensors_at(model, order):
+    """The model's quadrature tensors at one order, built on first use as
+    the order doubling builds them."""
+    t = model._h_tensors.get(order)
+    if t is None:
+        t = model._h_tensors[order] = mellin._HTensors.build(model.stats, model.secrecy,
+                                                             order)
+    return t
+
+
 def _h_eval_at(s, model, order):
-    """H(s), dH/ds and d^2H/ds^2 at one order: the H pass, then the
-    derivative pass on its exp tensor."""
-    h, tensors = mellin._h_eval(s, model, order)
-    return (h, *tensors.derivatives(s / LN2))
+    """H(s), dH/ds and d^2H/ds^2 at one order: the H pass, then the two
+    derivative passes on its exp tensor."""
+    t = _h_tensors_at(model, order)
+    a = s / LN2
+    return (t.h(a), t.dh(a), t.ddh(a))
 
 
 def _assert_cached_at_accepted_order(s, model):
-    """The cached (H, dH/ds, d^2H/ds^2) of s equal the one-pass oracle at the
-    order the doubling accepts, which is the top order a fresh model builds
-    for s alone."""
+    """The cached (H, dH/ds, d^2H/ds^2) of s, the last formed on its first
+    read, equal the one-pass oracle at the order the doubling accepts, which
+    is the top order a fresh model builds for s alone."""
     fresh = ServiceModel(model.stats, model.secrecy, model.quadrature)
     service_mellin_u_with_error(s, fresh)
     accepted = max(fresh._h_tensors)
-    h, _, d1, d2 = model._h_cache[s]
+    for m in (model, fresh):
+        mellin._h_curvature(s, m)
+    h, _, d1, d2, order = model._h_cache[s]
+    assert order == accepted
     assert _bits((h, d1, d2)) == _bits(
         _h_eval_one_pass(s, model.stats, model.secrecy, accepted))
     assert _bits(model._h_cache[s]) == _bits(fresh._h_cache[s])
@@ -223,7 +237,7 @@ def test_h_eval_bitwise_independent_of_earlier_s(log_rho, blocklength, s, others
     warm = make()
     for i, x in enumerate(others):
         if i % 2:
-            mellin._h_eval(x, warm, order)
+            _h_tensors_at(warm, order).h(x / LN2)
         else:
             _h_eval_at(x, warm, order)
     got = _h_eval_at(s, warm, order)
@@ -271,8 +285,8 @@ def test_h_tensors_live_and_die_with_their_model(log_rhos, s, order):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(log_rho=st.floats(6.0, 14.0), blocklength=st.floats(16.0, 1024.0), s=H_ARGS)
 def test_h_slope_built_only_at_the_accepted_order(log_rho, blocklength, s):
-    # the doubling forms dH/ds and d^2H/ds^2 only at the order it accepts,
-    # so a rung it passes over never builds its slope tensor
+    # the doubling forms dH/ds only at the order it accepts, so a rung it
+    # passes over never builds its slope tensor
     model = ServiceModel(make_stats(rho=10.0 ** log_rho),
                          SecrecyParams(2e-6, 1e-3, blocklength),
                          QuadratureSpec(max_subdivisions=5))
@@ -697,6 +711,97 @@ def test_floor_certified_determinacy_integrates_h_at_the_floor_only(profile):
         res = delay_determinacy(window, cfg.build_arrival(), service)
         assert res.s_star_tmin == res.s_star_tmax == mellin.S_FLOOR
         assert list(service._h_cache) == [mellin.S_FLOOR]
+
+
+def _violation_fields(res):
+    return _determinacy_fields(**{k: getattr(res, k) for k in
+                                  ("bound", "s_star", "s_max", "vacuous", "raw_inf")})
+
+
+@pytest.mark.parametrize("profile", ["eval", "train"])
+def test_deferred_curvature_has_the_eager_bits(profile):
+    # a floor-certified determinacy leaves d^2H/ds^2 at the floor unformed;
+    # a later violation_bound on the same model forms it after its tensors
+    # are released, and a model whose buffer moved on to another s forms it
+    # on its own tensors, each with the bits of a fresh model
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    arrival = cfg.build_arrival()
+    for make_eval in users:
+        base = make_eval()
+
+        def make():
+            return ServiceModel(base.stats, base.secrecy, QUADRATURE_PROFILES[profile])
+
+        model = make()
+        delay_determinacy(window, arrival, model)
+        assert model._h_cache[mellin.S_FLOOR][3] is None and model._h_tensors == {}
+        for t in (window.t_min, window.t_max):
+            assert (_violation_fields(violation_bound(t, arrival, model))
+                    == _violation_fields(violation_bound(t, arrival, make())))
+        _assert_cached_at_accepted_order(mellin.S_FLOOR, model)
+
+        moved = make()
+        service_mellin_u_with_error(mellin.S_FLOOR, moved)
+        order = moved._h_cache[mellin.S_FLOOR][4]
+        _h_tensors_at(moved, order).h(0.5 / LN2)
+        _assert_cached_at_accepted_order(mellin.S_FLOOR, moved)
+
+
+class _CountingTensors:
+    """Records the a of every H, dH/ds and d^2H/ds^2 pass of any model's
+    quadrature tensors."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"h": [], "dh": [], "ddh": []}
+        for name, seen in self.calls.items():
+            monkeypatch.setattr(mellin._HTensors, name, self._counted(
+                getattr(mellin._HTensors, name), seen))
+
+    @staticmethod
+    def _counted(method, seen):
+        def counted(tensors, a):
+            seen.append(a)
+            return method(tensors, a)
+        return counted
+
+    def reset(self):
+        for seen in self.calls.values():
+            seen.clear()
+
+
+@pytest.mark.parametrize("profile", ["eval", "train"])
+def test_floor_certified_determinacy_forms_dh_once_and_no_curvature(profile, monkeypatch):
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    counts = _CountingTensors(monkeypatch)
+    for make in users:
+        eval_service = make()
+        service = ServiceModel(eval_service.stats, eval_service.secrecy,
+                               QUADRATURE_PROFILES[profile])
+        counts.reset()
+        res = delay_determinacy(window, cfg.build_arrival(), service)
+        assert res.s_star_tmin == res.s_star_tmax == mellin.S_FLOOR
+        assert counts.calls["dh"] == [mellin.S_FLOOR / LN2]
+        assert counts.calls["ddh"] == []
+
+
+@pytest.mark.parametrize("window,arrival,make", [
+    case for case in _equivalence_cases() if "interior" in case.id or "train" in case.id])
+def test_uncertified_determinacy_forms_floor_curvature_once(window, arrival, make,
+                                                             monkeypatch):
+    # the floor's d^2H/ds^2 comes from the sloped tensor its dH/ds left, so
+    # H is integrated only on the ladders of the probed s
+    counts = _CountingTensors(monkeypatch)
+    service = make()
+    res = delay_determinacy(window, arrival, service)
+    assert res.s_star_tmin != mellin.S_FLOOR
+    floor_a = mellin.S_FLOOR / LN2
+    assert counts.calls["ddh"].count(floor_a) == 1
+    assert counts.calls["dh"].count(floor_a) == 1
+    rungs = sum(int(math.log2(entry[4] // mellin.BASE_ORDER)) + 1
+                for entry in service._h_cache.values())
+    assert len(counts.calls["h"]) == rungs
 
 
 def _eager_determinacy(window, arrival, service):
