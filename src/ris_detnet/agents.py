@@ -26,7 +26,7 @@ from .config import ConfigError, ScenarioConfig, config_hash
 from .env import STATE_DIM, HybridAction, RisDownlinkEnv
 from .neural import Mlp, OptimizerState, clip_global_norm, optimizer_step
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # the learners' weights, activations, gradients and moments; replay records
 # and targets stay float64
 NET_DTYPE = np.float32
@@ -58,13 +58,11 @@ class AgentConfig:
     batch_size: int
     buffer_capacity: int
     target_sync: int
-    use_target: bool
     actor_loss_mode: str
     optimizer: str
     warmup: int
     grad_clip: float
     hidden: tuple
-    per_user_networks: bool
     cbl_levels: int
 
     @classmethod
@@ -76,10 +74,9 @@ class AgentConfig:
                                     a["epsilon_decay_steps"]),
             n_step=a["n_step"], batch_size=a["batch_size"],
             buffer_capacity=a["buffer_capacity"], target_sync=a["target_sync"],
-            use_target=a["use_target"], actor_loss_mode=a["actor_loss_mode"],
-            optimizer=a["optimizer"], warmup=cfg.warmup_transitions,
-            grad_clip=a["grad_clip"], hidden=tuple(a["hidden"]),
-            per_user_networks=a["per_user_networks"], cbl_levels=a["cbl_levels"])
+            actor_loss_mode=a["actor_loss_mode"], optimizer=a["optimizer"],
+            warmup=cfg.warmup_transitions, grad_clip=a["grad_clip"],
+            hidden=tuple(a["hidden"]), cbl_levels=a["cbl_levels"])
 
     def make_optimizer(self, lr: float) -> OptimizerState:
         if self.optimizer == "plain_sgd":
@@ -262,13 +259,12 @@ def collect_slot(states: list, order, choose, env: RisDownlinkEnv):
     return actions, encoded, records
 
 
-def sid_collect_slot(states: list, order, actor_for, critic_for, epsilon: float,
+def sid_collect_slot(states: list, order, actor: Mlp, critic: Mlp, epsilon: float,
                      codebook, env: RisDownlinkEnv, rng: np.random.Generator):
-    """SID-PDQN slot: collect_slot choosing by select_action; the records
-    are the actor's full parameter vectors."""
+    """SID-PDQN slot: collect_slot choosing by select_action with the nets
+    shared by all users; the records are the actor's full parameter vectors."""
     def choose(user, enc):
-        return select_action(enc, actor_for(user), critic_for(user), epsilon,
-                             codebook.size, rng)
+        return select_action(enc, actor, critic, epsilon, codebook.size, rng)
     return collect_slot(states, order, choose, env)
 
 
@@ -407,35 +403,31 @@ class TrainingLog:
 class Agent:
     """The rollout loop shared by every algorithm.
 
-    A subclass supplies act(states, epsilon) -> (actions, records), with one
-    (encoded state, action index, parameter vector) record per user for the
-    replay buffers (none for a policy that does not learn); learn() ->
-    (critic loss, actor loss); and sync_target(), the target-network copy.
+    All users share one replay buffer and, in a learner, one set of
+    networks.  A subclass supplies act(states, epsilon) -> (actions,
+    records), with one (encoded state, action index, parameter vector)
+    record per user for the buffer (none for a policy that does not learn);
+    learn() -> (critic loss, actor loss); and, if it learns, sync_target(),
+    the target-network copy.
     """
 
     def __init__(self, env: RisDownlinkEnv, config: AgentConfig,
-                 rng: np.random.Generator, n_buffers: int, param_dim: int):
+                 rng: np.random.Generator, param_dim: int):
         self.env = env
         self.config = config
         self.rng = rng
-        self.buffers = [ReplayBuffer(config.buffer_capacity, STATE_DIM, param_dim)
-                        for _ in range(n_buffers)]
+        self.buffer = ReplayBuffer(config.buffer_capacity, STATE_DIM, param_dim)
         self.global_step = 0
 
-    def _net_index(self, user: int) -> int:
-        """One network and buffer per user, or one shared by all users."""
-        return user % len(self.buffers)
-
-    def _store(self, user: int, records):
-        for rec in records:
-            self.buffers[self._net_index(user)].insert(*rec)
-
-    def _batch(self, i: int):
-        """A replay batch from buffer i, or None while it is warming up."""
-        buf = self.buffers[i]
+    def _batch(self):
+        """A replay batch, or None while the buffer is warming up."""
+        buf = self.buffer
         if len(buf) < self.config.warmup or len(buf) < self.config.batch_size:
             return None
         return buf.sample(self.rng, self.config.batch_size)
+
+    def sync_target(self):
+        """Copy the online nets to the target nets; nothing to copy here."""
 
     def train(self, episodes: int, steps: int, log: TrainingLog | None = None) -> TrainingLog:
         log = log or TrainingLog()
@@ -452,20 +444,22 @@ class Agent:
                 outcome = env.step(actions)
                 for u, rec in enumerate(records):
                     next_enc = outcome.next_states[u].encode(env.p_max, env.n_max)
-                    self._store(u, assemblers[u].push(*rec, outcome.reward, next_enc))
+                    for n_rec in assemblers[u].push(*rec, outcome.reward, next_enc):
+                        self.buffer.insert(*n_rec)
                 closs, aloss = self.learn()
                 ep_rewards.append(outcome.reward)
                 log.append(episode=ep, step=self.global_step, epsilon=eps,
                            reward=outcome.reward,
                            mean_episode_reward=float(np.mean(ep_rewards)),
                            critic_loss=closs, actor_loss=aloss,
-                           buffer_fill=sum(len(b) for b in self.buffers))
+                           buffer_fill=len(self.buffer))
                 states = outcome.next_states
                 self.global_step += 1
-                if cfg.use_target and self.global_step % cfg.target_sync == 0:
+                if self.global_step % cfg.target_sync == 0:
                     self.sync_target()
-            for u, asm in enumerate(assemblers):
-                self._store(u, asm.flush())
+            for asm in assemblers:
+                for n_rec in asm.flush():
+                    self.buffer.insert(*n_rec)
         return log
 
     def evaluate(self, episodes: int, steps: int):
@@ -511,69 +505,58 @@ class SidPdqnAgent(Agent):
 
     def __init__(self, env: RisDownlinkEnv, config: AgentConfig, seed: int = 0):
         n_l = env.codebook.size
-        n_nets = env.n_users if config.per_user_networks else 1
-        super().__init__(env, config, np.random.default_rng([seed, 21]), n_nets, n_l)
+        super().__init__(env, config, np.random.default_rng([seed, 21]), n_l)
         net_rng = np.random.default_rng([seed, 22])
         self.n_discrete = n_l
-        self.actors = [Mlp([STATE_DIM, *config.hidden, 2 * n_l], net_rng,
-                           head="actor", n_discrete=n_l, dtype=NET_DTYPE)
-                       for _ in range(n_nets)]
-        self.critics = [Mlp([STATE_DIM + n_l, *config.hidden, n_l], net_rng,
-                            dtype=NET_DTYPE) for _ in range(n_nets)]
-        self.critic_targets = [c.copy() for c in self.critics]
-        self.actor_opts = [config.make_optimizer(config.beta) for _ in range(n_nets)]
-        self.critic_opts = [config.make_optimizer(config.alpha) for _ in range(n_nets)]
+        self.actor = Mlp([STATE_DIM, *config.hidden, 2 * n_l], net_rng,
+                         head="actor", n_discrete=n_l, dtype=NET_DTYPE)
+        self.critic = Mlp([STATE_DIM + n_l, *config.hidden, n_l], net_rng,
+                          dtype=NET_DTYPE)
+        self.critic_target = self.critic.copy()
+        self.actor_opt = config.make_optimizer(config.beta)
+        self.critic_opt = config.make_optimizer(config.alpha)
         # per-pass critic arrays kept between learn steps: fresh ones of this
         # size come from the OS and page-fault on every step
         self.scratch: dict = {}
 
     def act(self, states: list, epsilon: float):
         actions, encoded, params = sid_collect_slot(
-            states, self.env.sid_order,
-            lambda u: self.actors[self._net_index(u)],
-            lambda u: self.critics[self._net_index(u)],
-            epsilon, self.env.codebook, self.env, self.rng)
+            states, self.env.sid_order, self.actor, self.critic, epsilon,
+            self.env.codebook, self.env, self.rng)
         return actions, [(e, a.discrete_index, p)
                          for a, e, p in zip(actions, encoded, params)]
 
     def learn(self):
         cfg = self.config
-        closs = aloss = math.nan
-        for i in range(len(self.actors)):
-            batch = self._batch(i)
-            if batch is None:
-                continue
-            bootstrap = self.critic_targets[i] if cfg.use_target else self.critics[i]
-            y = n_step_target(batch, bootstrap, self.actors[i], cfg.gamma_discount,
-                              self.scratch)
-            closs = critic_update(batch, self.critics[i], y, self.critic_opts[i],
-                                  cfg.grad_clip)
-            aloss = actor_update(batch, self.actors[i], self.critics[i],
-                                 self.actor_opts[i], cfg.actor_loss_mode,
-                                 cfg.grad_clip, self.scratch)
+        batch = self._batch()
+        if batch is None:
+            return math.nan, math.nan
+        y = n_step_target(batch, self.critic_target, self.actor, cfg.gamma_discount,
+                          self.scratch)
+        closs = critic_update(batch, self.critic, y, self.critic_opt, cfg.grad_clip)
+        aloss = actor_update(batch, self.actor, self.critic, self.actor_opt,
+                             cfg.actor_loss_mode, cfg.grad_clip, self.scratch)
         return closs, aloss
 
     def sync_target(self):
-        self.critic_targets = [c.copy() for c in self.critics]
+        self.critic_target = self.critic.copy()
 
     def _net_blobs(self) -> dict:
         return {
             "n_discrete": self.n_discrete,
-            "actors": [a.to_blob() for a in self.actors],
-            "critics": [c.to_blob() for c in self.critics],
-            "critic_targets": [c.to_blob() for c in self.critic_targets],
-            "actor_opts": [o.to_blob(a) for o, a in zip(self.actor_opts, self.actors)],
-            "critic_opts": [o.to_blob(c) for o, c in zip(self.critic_opts, self.critics)],
+            "actor": self.actor.to_blob(),
+            "critic": self.critic.to_blob(),
+            "critic_target": self.critic_target.to_blob(),
+            "actor_opt": self.actor_opt.to_blob(self.actor),
+            "critic_opt": self.critic_opt.to_blob(self.critic),
         }
 
     def _load_nets(self, blob: dict):
-        self.actors = [Mlp.from_blob(b) for b in blob["actors"]]
-        self.critics = [Mlp.from_blob(b) for b in blob["critics"]]
-        self.critic_targets = [Mlp.from_blob(b) for b in blob["critic_targets"]]
-        self.actor_opts = [OptimizerState.from_blob(b, a)
-                           for b, a in zip(blob["actor_opts"], self.actors)]
-        self.critic_opts = [OptimizerState.from_blob(b, c)
-                            for b, c in zip(blob["critic_opts"], self.critics)]
+        self.actor = Mlp.from_blob(blob["actor"])
+        self.critic = Mlp.from_blob(blob["critic"])
+        self.critic_target = Mlp.from_blob(blob["critic_target"])
+        self.actor_opt = OptimizerState.from_blob(blob["actor_opt"], self.actor)
+        self.critic_opt = OptimizerState.from_blob(blob["critic_opt"], self.critic)
 
 
 class DqnAgent(Agent):
@@ -586,7 +569,7 @@ class DqnAgent(Agent):
     algo = "dqn"
 
     def __init__(self, env: RisDownlinkEnv, config: AgentConfig, seed: int = 0):
-        super().__init__(env, config, np.random.default_rng([seed, 31]), 1, 1)
+        super().__init__(env, config, np.random.default_rng([seed, 31]), 1)
         net_rng = np.random.default_rng([seed, 32])
         levels = config.cbl_levels
         self.cbl_grid = np.array([0.5]) if levels == 1 else np.linspace(0.0, 1.0, levels)
@@ -616,11 +599,10 @@ class DqnAgent(Agent):
 
     def learn(self):
         cfg = self.config
-        batch = self._batch(0)
+        batch = self._batch()
         if batch is None:
             return math.nan, math.nan
-        tgt_net = self.q_target if cfg.use_target else self.q_net
-        q_next, _ = tgt_net.forward(batch["next_states"])
+        q_next, _ = self.q_target.forward(batch["next_states"])
         y = _n_step_return(batch, cfg.gamma_discount, q_next.max(axis=1))
         loss, grads = _fit_taken(self.q_net, batch["states"], batch["action_idx"], y)
         _clipped_step(self.q_net, grads, self.opt, cfg.grad_clip)
@@ -642,13 +624,13 @@ class DqnAgent(Agent):
 
 class RandomPolicy(Agent):
     """Uniform-random hybrid actions, drawn in user-index order; learns
-    nothing and keeps no buffer."""
+    nothing and stores nothing in its buffer."""
 
     def __init__(self, env: RisDownlinkEnv, rng: np.random.Generator):
-        # every action explores, so the log reads epsilon = 1; no target to copy
+        # every action explores, so the log reads epsilon = 1
         config = replace(AgentConfig.from_scenario(env.config),
-                         epsilon=EpsilonSchedule(1.0, 1.0, 0), use_target=False)
-        super().__init__(env, config, rng, 0, 0)
+                         epsilon=EpsilonSchedule(1.0, 1.0, 0))
+        super().__init__(env, config, rng, 0)
 
     def act(self, states: list, epsilon: float):
         return [HybridAction(int(self.rng.integers(self.env.codebook.size)),

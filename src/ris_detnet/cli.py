@@ -118,13 +118,13 @@ def cmd_simulate(args) -> int:
     columns = ["user_id", "t", "empirical", "ci_half_width", "bound", "dominated"]
     rows = []
     violated = False
-    secrecy = cfg.build_secrecy(cbl)
     make_sampler = (model_matched_service_sampler if args.sampler == "model"
                     else fbc_service_sampler)
     horizon = min(args.horizon, int(args.packets / env.arrival.lambda_pkts * 1.3) + 2000)
     for k in range(env.n_users):
         res = env.varpi(k, power, codeword, cbl, profile="eval")
-        sampler = make_sampler(env.link_stats(k, power, codeword), secrecy)
+        model = env.service_model(k, power, codeword, cbl, "eval")
+        sampler = make_sampler(model.stats, model.secrecy)
         rng = np.random.default_rng([seed, 40, k])
         qres = simulate_queue(env.arrival, sampler, horizon, args.packets, rng)
         if qres.n_packets == 0:
@@ -229,6 +229,8 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     cfg = _load(args)
     seed = cfg.get("run", "seed")
     values = [v.strip() for v in args.values.split(",") if v.strip()]

@@ -157,14 +157,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "batch_size": (_parse_int, 32),
         "buffer_capacity": (_parse_int, 20000),
         "target_sync": (_parse_int, 100),
-        "use_target": (_parse_bool, True),
         "actor_loss_mode": (_choice("paper_literal", "standard_pdqn"), "paper_literal"),
         "optimizer": (_choice("adam", "plain_sgd"), "adam"),
         "warmup": (_parse_auto_float, None),
         "grad_clip": (_parse_float, 10.0),
         "hidden": (_parse_ints, (128, 128)),
         "episodes": (_parse_int, 150),
-        "per_user_networks": (_parse_bool, False),
         "cbl_levels": (_parse_int, 8),
         "eval_episodes": (_parse_int, 5),
     },
@@ -339,9 +337,6 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("[agent] gamma must be in [0, 1]")
     if ag["alpha"] <= 0 or ag["beta"] <= 0:
         raise ConfigError("[agent] learning rates must be positive")
-    if ag["algo"] == "dqn" and ag["per_user_networks"]:
-        raise ConfigError("[agent] per_user_networks = true is not supported by "
-                          "[agent] algo = dqn, which trains one shared network")
 
 
 def default_config() -> ScenarioConfig:

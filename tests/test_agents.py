@@ -5,8 +5,10 @@ import pytest
 from scipy.stats import chisquare
 
 import ris_detnet as rd
+import ris_detnet.agents as agents_mod
 from ris_detnet.agents import (AgentConfig, DqnAgent, EpsilonSchedule,
                                NStepAssembler, ReplayBuffer, SidPdqnAgent,
+                               TrainingLog,
                                actor_loss_and_grads, critic_loss_and_grads,
                                critic_update, actor_update, n_step_target,
                                pass_q, pass_q_param_grad, select_action,
@@ -210,8 +212,7 @@ def test_sid_single_user_equals_select_action():
     want, _ = select_action(enc, actor, critic, 0.0, env.codebook.size,
                             np.random.default_rng(7))
     acts, encoded, _ = sid_collect_slot(env.reset(episode=0), env.sid_order,
-                                        lambda u: actor, lambda u: critic, 0.0,
-                                        env.codebook, env,
+                                        actor, critic, 0.0, env.codebook, env,
                                         np.random.default_rng(7))
     assert acts[0].discrete_index == want.discrete_index
     assert acts[0].continuous_param == want.continuous_param
@@ -224,9 +225,8 @@ def test_sid_budget_telegraphing():
     from ris_detnet.env import STATE_DIM as SD
     actor = make_actor(0, SD, env.codebook.size)
     critic = make_critic(1, SD, env.codebook.size)
-    acts, _, _ = sid_collect_slot(states, env.sid_order, lambda u: actor,
-                                  lambda u: critic, 0.0, env.codebook, env,
-                                  np.random.default_rng(7))
+    acts, _, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
+                                  env.codebook, env, np.random.default_rng(7))
     first, second = env.sid_order
     p_first, _ = env.codebook.decode(acts[first].discrete_index)
     # the second user observes p_max minus the first user's applied power
@@ -256,9 +256,8 @@ def test_sid_order_changes_selection_when_budgets_bind():
     per_user = []
     for episode in (0, 1):            # rotation permutes the order
         states = env.reset(episode=episode)
-        acts, _, _ = sid_collect_slot(states, env.sid_order, lambda u: actor,
-                                      lambda u: critic, 0.0, env.codebook, env,
-                                      np.random.default_rng(1))
+        acts, _, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
+                                      env.codebook, env, np.random.default_rng(1))
         per_user.append([a.discrete_index for a in acts])
     assert per_user[0] == [0, 1]
     assert per_user[1] == [1, 0]
@@ -570,8 +569,8 @@ def test_float32_optimizer_step_within_tolerance(reference_nets):
 
 def nets_and_opts(agent):
     if isinstance(agent, SidPdqnAgent):
-        return (agent.actors + agent.critics + agent.critic_targets,
-                agent.actor_opts + agent.critic_opts)
+        return ([agent.actor, agent.critic, agent.critic_target],
+                [agent.actor_opt, agent.critic_opt])
     return [agent.q_net, agent.q_target], [agent.opt]
 
 
@@ -627,7 +626,7 @@ def test_train_warmup_blocks_updates():
     log = agent.train(episodes=1, steps=1)
     assert len(log.rows) == 1
     assert math.isnan(log.rows[0]["critic_loss"])
-    assert sum(len(b) for b in agent.buffers) == 1   # flushed at episode end
+    assert len(agent.buffer) == 1   # flushed at episode end
 
 
 def test_train_deterministic_logs():
@@ -651,6 +650,72 @@ def test_dqn_action_space_size_and_determinism():
         a2 = DqnAgent(env2, AgentConfig.from_scenario(cfg), seed=2)
         logs.append(a2.train(episodes=2, steps=15).rows)
     assert logs[0] == logs[1]
+
+
+# the online and target nets of each learner
+ONLINE_TARGET = [(SidPdqnAgent, "critic", "critic_target"), (DqnAgent, "q_net", "q_target")]
+
+
+@pytest.mark.parametrize("agent_cls,online,target", ONLINE_TARGET)
+def test_target_net_is_the_online_net_at_the_last_sync(agent_cls, online, target):
+    cfg = train_cfg(**{"agent.target_sync": 10})
+    agent = agent_cls(RisDownlinkEnv(cfg, seed=5), AgentConfig.from_scenario(cfg),
+                      seed=5)
+    after_step = {}     # online weights once global_step reaches the key
+
+    class SnapshotLog(TrainingLog):
+        def append(self, **kw):
+            super().append(**kw)
+            after_step[kw["step"] + 1] = getattr(agent, online).flat.copy()
+
+    agent.train(episodes=1, steps=45, log=SnapshotLog())
+    assert np.array_equal(getattr(agent, target).flat, after_step[40])
+    # learning moved the online net before the last sync and after it
+    assert not np.array_equal(after_step[40], after_step[30])
+    assert not np.array_equal(getattr(agent, online).flat, after_step[40])
+
+
+@pytest.mark.parametrize("agent_cls,online,target", ONLINE_TARGET)
+def test_learn_bootstraps_through_the_target_net(monkeypatch, agent_cls, online, target):
+    # y of one learn step after the same 45 training steps, with one net
+    # perturbed first: the online net does not reach y, the target net does
+    cfg = train_cfg()
+    ys = []
+    n_step_return = agents_mod._n_step_return
+
+    def spy(batch, gamma, boot):
+        y = n_step_return(batch, gamma, boot)
+        ys.append(y)
+        return y
+
+    def y_with(perturbed):
+        agent = agent_cls(RisDownlinkEnv(cfg, seed=5), AgentConfig.from_scenario(cfg),
+                          seed=5)
+        agent.train(episodes=1, steps=45)
+        if perturbed:
+            getattr(agent, perturbed).flat += 0.5
+        with monkeypatch.context() as m:
+            m.setattr(agents_mod, "_n_step_return", spy)
+            agent.learn()
+        return ys[-1]
+
+    y = y_with(None)
+    assert np.array_equal(y_with(online), y)
+    assert not np.array_equal(y_with(target), y)
+
+
+@pytest.mark.parametrize("optimizer,step", [("plain_sgd", 0.2), ("adam", 0.1)])
+def test_optimizer_key_selects_the_update_rule(optimizer, step):
+    # a gradient of 2 at lr 0.1: the literal rule steps by lr * g, Adam's
+    # first bias-corrected step by lr * g / |g|
+    cfg = rd.load_config_text(f"[agent]\noptimizer = {optimizer}\n")
+    opt = AgentConfig.from_scenario(cfg).make_optimizer(0.1)
+    net = Mlp([2, 2], np.random.default_rng(0))
+    before = net.flat.copy()
+    optimizer_step([net.flat], [np.full_like(net.flat, 2.0)], opt)
+    assert np.allclose(net.flat, before - step, rtol=0.0, atol=1e-7)
+    if optimizer == "plain_sgd":
+        assert np.array_equal(net.flat, before - 0.1 * 2.0)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -694,10 +759,10 @@ def test_checkpoint_keeps_float32_bitwise(tmp_path, agent_cls):
 
 @pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
 def test_checkpoint_then_training_equals_uninterrupted_training(tmp_path, agent_cls):
-    # a checkpoint keeps the per-array Adam moments of version 3 and loads
-    # them back into the flat ones, so training on from it repeats the bits
-    # of a run that never stopped; replay buffers are not checkpointed, so
-    # the resumed agent takes the stopped agent's
+    # a checkpoint keeps the per-array Adam moments and loads them back
+    # into the flat ones, so training on from it repeats the bits of a run
+    # that never stopped; the replay buffer is not checkpointed, so the
+    # resumed agent takes the stopped agent's
     from ris_detnet.agents import load_checkpoint, save_checkpoint
     cfg = train_cfg()
 
@@ -714,7 +779,7 @@ def test_checkpoint_then_training_equals_uninterrupted_training(tmp_path, agent_
     save_checkpoint(str(path), stopped, cfg)
     resumed = fresh()
     load_checkpoint(str(path), resumed, cfg)
-    resumed.buffers = stopped.buffers
+    resumed.buffer = stopped.buffer
     resumed.env.reset()
     resumed.env.reset()                 # the env's episode count: 2 is next
     rows = resumed.train(episodes=1, steps=20).rows

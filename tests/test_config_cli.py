@@ -100,15 +100,6 @@ def test_type_mismatch_diagnostic():
         load_config_text("[budget]\nn_max = many\n")
 
 
-def test_dqn_with_per_user_networks_rejected_at_load():
-    # DqnAgent keeps one network, so the key would be accepted and ignored
-    with pytest.raises(ConfigError, match=r"\[agent\] per_user_networks.*\[agent\] algo"):
-        load_config_text("[agent]\nalgo = dqn\nper_user_networks = true\n")
-    for algo in ("sid_pdqn", "random"):
-        load_config_text(f"[agent]\nalgo = {algo}\nper_user_networks = true\n")
-    load_config_text("[agent]\nalgo = dqn\nper_user_networks = false\n")
-
-
 def test_reference_cfg_equals_defaults():
     # the file's header promises that every key it shows is the default
     assert config_hash(load_config(str(REFERENCE_CFG))) == config_hash(default_config())
@@ -602,6 +593,18 @@ def test_cli_sweep_codeword_out_of_range_runs_no_point(tmp_path, capsys):
     assert not (out / "sweep_manifest.json").exists()
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_sweep_rejects_reps_below_one(tmp_path, capsys, reps):
+    # no rep of any point would run, leaving a sweep.csv of no rows
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--param", "delay.t_min", "--values", "2,3", "--reps", reps]) == 1
+    assert capsys.readouterr().err.startswith("config error: --reps")
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_sweep_tmin_monotone(tmp_path):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SMALL)
@@ -650,13 +653,15 @@ def test_cli_train_then_evaluate_round_trip(tmp_path):
                  "--checkpoint", str(ckpt)]) == 0
     assert (out2 / "evaluate.csv").read_bytes() == (out3 / "evaluate.csv").read_bytes()
     # a version-1 checkpoint holds a critic whose parameter inputs meant
-    # something else (all actions' parameters in every pass): refused as an
-    # input mistake
-    stale = json.loads(ckpt.read_text())
-    stale["version"] = 1
-    ckpt.write_text(json.dumps(stale))
-    assert main(["evaluate", "--config", str(cfg_path), "--out", str(out3),
-                 "--checkpoint", str(ckpt)]) == 1
+    # something else (all actions' parameters in every pass), and a
+    # version-3 one holds lists of nets: both are refused as input mistakes
+    for version in (1, 3):
+        stale = json.loads(ckpt.read_text())
+        stale["version"] = version
+        stale_path = tmp_path / f"v{version}.json"
+        stale_path.write_text(json.dumps(stale))
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out3),
+                     "--checkpoint", str(stale_path)]) == 1
 
 
 def test_cli_sweep_train_scores_random_by_evaluate(tmp_path):
@@ -701,15 +706,16 @@ def test_cli_evaluate_random_is_config_error(tmp_path, capsys):
     ["sweep", "--mode", "train", "--param", "agent.episodes", "--values", "1,2"]],
     ids=["train", "evaluate", "sweep"])
 def test_cli_dqn_per_user_networks_is_config_error(tmp_path, capsys, argv):
-    # DqnAgent keeps one network, so the key would be accepted and ignored
-    cfg_path = tmp_path / "s.cfg"
-    cfg_path.write_text(SMALL.replace("[agent]\n",
-                                      "[agent]\nalgo = dqn\nper_user_networks = true\n"))
-    out = tmp_path / "o"
-    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "[agent] per_user_networks" in err and "[agent] algo" in err
-    assert not list(out.glob("*.csv"))
+    # every learner keeps one network set shared by all users and bootstraps
+    # through its target net, so the keys that switched either are unknown
+    for line in ("per_user_networks = true", "use_target = false"):
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(SMALL.replace("[agent]\n", f"[agent]\nalgo = dqn\n{line}\n"))
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+        key = line.split()[0]
+        assert f"unknown key '{key}' in section [agent]" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 def test_strict_only_on_simulate():
