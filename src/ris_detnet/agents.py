@@ -58,7 +58,6 @@ class AgentConfig:
     batch_size: int
     buffer_capacity: int
     target_sync: int
-    actor_loss_mode: str
     optimizer: str
     warmup: int
     grad_clip: float
@@ -74,8 +73,8 @@ class AgentConfig:
                                     a["epsilon_decay_steps"]),
             n_step=a["n_step"], batch_size=a["batch_size"],
             buffer_capacity=a["buffer_capacity"], target_sync=a["target_sync"],
-            actor_loss_mode=a["actor_loss_mode"], optimizer=a["optimizer"],
-            warmup=cfg.warmup_transitions, grad_clip=a["grad_clip"],
+            optimizer=a["optimizer"], warmup=cfg.warmup_transitions,
+            grad_clip=a["grad_clip"],
             hidden=tuple(a["hidden"]), cbl_levels=a["cbl_levels"])
 
     def make_optimizer(self, lr: float) -> OptimizerState:
@@ -285,12 +284,9 @@ def _n_step_return(batch: dict, gamma: float, boot: np.ndarray) -> np.ndarray:
 
 
 def _clipped_step(net: Mlp, grads: list, opt: OptimizerState, grad_clip: float):
-    """One optimizer step over the net's flat array, on grads clipped to
-    global norm grad_clip if > 0.  grads are views into one flat array, as
-    Mlp.backward and clip_global_norm return them; the step takes that array."""
-    if grad_clip > 0:
-        grads = clip_global_norm(grads, grad_clip)
-    optimizer_step([net.flat], [grads[0].base], opt)
+    """One optimizer step over the net's flat array, on the gradients of
+    Mlp.backward clipped to global norm grad_clip if > 0."""
+    optimizer_step(net.flat, clip_global_norm(grads, grad_clip), opt)
 
 
 def _fit_taken(net: Mlp, inputs: np.ndarray, idx: np.ndarray, targets: np.ndarray):
@@ -329,9 +325,10 @@ def actor_loss_and_grads(batch: dict, actor: Mlp, critic: Mlp, mode: str,
     """Policy loss and actor gradients; critic parameters are left untouched.
 
     paper_literal: -sum_L Q[s, L, x_L(s); w] * P(L|s) with gradients through
-    both the parameter heads and the probability head; standard_pdqn drops
-    the probability weighting.  Each Q_L comes from its own critic pass, so
-    x_L receives gradient from Q_L alone.
+    both the parameter heads and the probability head, the loss SID-PDQN
+    trains with; standard_pdqn drops the probability weighting, the loss of
+    plain P-DQN that the gradient checks compare against.  Each Q_L comes
+    from its own critic pass, so x_L receives gradient from Q_L alone.
     """
     if mode not in ("paper_literal", "standard_pdqn"):
         raise ValueError(f"unknown actor loss mode: {mode}")
@@ -353,9 +350,9 @@ def actor_loss_and_grads(batch: dict, actor: Mlp, critic: Mlp, mode: str,
 
 
 def actor_update(batch: dict, actor: Mlp, critic: Mlp, opt: OptimizerState,
-                 mode: str, grad_clip: float = 0.0,
-                 scratch: dict | None = None) -> float:
-    loss, grads = actor_loss_and_grads(batch, actor, critic, mode, scratch)
+                 grad_clip: float = 0.0, scratch: dict | None = None) -> float:
+    """One actor step on the paper_literal loss."""
+    loss, grads = actor_loss_and_grads(batch, actor, critic, "paper_literal", scratch)
     _clipped_step(actor, grads, opt, grad_clip)
     return loss
 
@@ -535,7 +532,7 @@ class SidPdqnAgent(Agent):
                           self.scratch)
         closs = critic_update(batch, self.critic, y, self.critic_opt, cfg.grad_clip)
         aloss = actor_update(batch, self.actor, self.critic, self.actor_opt,
-                             cfg.actor_loss_mode, cfg.grad_clip, self.scratch)
+                             cfg.grad_clip, self.scratch)
         return closs, aloss
 
     def sync_target(self):
@@ -654,7 +651,7 @@ def save_checkpoint(path: str, agent, scenario: ScenarioConfig):
         json.dump(blob, fh)
 
 
-def load_checkpoint(path: str, agent, scenario: ScenarioConfig | None = None):
+def load_checkpoint(path: str, agent, scenario: ScenarioConfig):
     """Restore ``agent`` from a checkpoint file.  An unreadable file, one that
     is not a JSON object, one trained under another scenario, or one of
     another checkpoint version or algo raises ConfigError."""
@@ -665,7 +662,7 @@ def load_checkpoint(path: str, agent, scenario: ScenarioConfig | None = None):
         raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"checkpoint {path!r} is not a JSON object")
-    if scenario is not None and blob.get("config_hash") != config_hash(scenario):
+    if blob.get("config_hash") != config_hash(scenario):
         raise ConfigError("checkpoint was trained under a different config")
     agent.load_blob(blob)
     return agent

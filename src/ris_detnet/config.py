@@ -39,15 +39,6 @@ def _parse_int(text):
     return int(val)
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected boolean, got {text!r}")
-
-
 def _parse_pair(text):
     parts = text.split()
     if len(parts) != 2:
@@ -143,7 +134,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "env": {
         "episode_steps": (_parse_int, 200),
         "violation_penalty": (_parse_float, 0.05),
-        "observe_eve": (_parse_bool, True),
     },
     "agent": {
         "algo": (_choice("sid_pdqn", "dqn", "random"), "sid_pdqn"),
@@ -157,7 +147,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "batch_size": (_parse_int, 32),
         "buffer_capacity": (_parse_int, 20000),
         "target_sync": (_parse_int, 100),
-        "actor_loss_mode": (_choice("paper_literal", "standard_pdqn"), "paper_literal"),
         "optimizer": (_choice("adam", "plain_sgd"), "adam"),
         "warmup": (_parse_auto_float, None),
         "grad_clip": (_parse_float, 10.0),

@@ -164,7 +164,6 @@ class RisDownlinkEnv:
         self.arrival = config.build_arrival()
         self.window = config.build_window()
         self.violation_penalty = config.get("env", "violation_penalty")
-        self.observe_eve = config.get("env", "observe_eve")
 
         g_los, f_user_los, _ = los_components(self.topology, self.fading)
         align_user = config.get("codebook", "align_user")
@@ -269,11 +268,9 @@ class RisDownlinkEnv:
         configuration; Eve's composite gain is formed once for all users."""
         theta = self._last_theta
         block, i = self._fading_block, self._draw
-        eve = (0.0, 0.0)
-        if self.observe_eve:
-            gain_e = composite_gain(block.h_direct_eve[i], block.f_eve[i], theta,
-                                    block.g_ris[i])
-            eve = (abs(gain_e) ** 2, 1.0 / self.lambda_eve)
+        gain_e = composite_gain(block.h_direct_eve[i], block.f_eve[i], theta,
+                                block.g_ris[i])
+        eve = (abs(gain_e) ** 2, 1.0 / self.lambda_eve)
         states = []
         for user, prev_action in enumerate(prev_actions):
             gain_u = composite_gain(block.h_direct[i, user], block.f_user[i, user],

@@ -756,15 +756,16 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
     kernel-ordering constraint.
 
     K is probed at S_FLOOR for both horizons first, from H and dH/ds there
-    alone.  Where the floor is stable and d/ds log K >= 0 there for both
-    horizons, each infimum is the floor by convexity: each bound is
-    min(1, K(S_FLOOR, T)) and both s_star are S_FLOOR, with no edge
-    searched.  Otherwise ``stability_smax`` and a ``violation_bound`` per
-    horizon run, and an unstable floor gives the vacuous bound.  The
-    quadrature error estimate is the larger one of the two H values behind
-    the reported bounds, at s_star_tmin and s_star_tmax, so probes that no
-    bound uses do not move it.  The model's quadrature tensors are released
-    on return; its H values stay cached.
+    alone.  An unstable floor gives the vacuous bound at once: both bounds
+    1 and both s_star S_FLOOR.  Where the floor is stable and d/ds log K >= 0
+    there for both horizons, each infimum is the floor by convexity: each
+    bound is min(1, K(S_FLOOR, T)) and both s_star are S_FLOOR.  In neither
+    case is an edge searched.  Otherwise ``stability_smax`` and a
+    ``violation_bound`` per horizon run, and the quadrature error estimate
+    is the larger one of the two H values behind the reported bounds, at
+    s_star_tmin and s_star_tmax, so probes that no bound uses do not move
+    it; at the floor it is the floor H's.  The model's quadrature tensors
+    are released on return; its H values stay cached.
     """
     t_min, t_max = window.t_min, window.t_max
     try:
@@ -774,25 +775,27 @@ def delay_determinacy(window: DelayWindow, arrival: ArrivalModel,
         eps = service.secrecy.epsilon_e
         m_srv = (1.0 - eps) * h + eps
         product = arrival_mellin(1.0 + S_FLOOR, arrival) * m_srv
-        certified = product < 1.0
-        if certified:
+        vacuous = not product < 1.0
+        if vacuous:
+            raw_min = raw_max = math.inf
+            s_star_min = s_star_max = S_FLOOR
+        else:
             d_srv = (1.0 - eps) * service._h_cache[S_FLOOR][2] / m_srv
             g1 = product / (1.0 - product)
             p1 = _arrival_log_slope(S_FLOOR, *_arrival_exponent(arrival)) + d_srv
-            certified = t_min * d_srv + g1 * p1 >= 0.0 and t_max * d_srv + g1 * p1 >= 0.0
-        if certified:
-            raw_min = m_srv ** t_min / (1.0 - product)
-            raw_max = m_srv ** t_max / (1.0 - product)
-            s_star_min = s_star_max = S_FLOOR
-            vacuous = False
-        else:
-            edge = stability_smax(arrival, service)
-            b_min, b_max = (violation_bound(t, arrival, service, s_max=edge)
-                            for t in (t_min, t_max))
-            raw_min, raw_max = b_min.raw_inf, b_max.raw_inf
-            s_star_min, s_star_max = b_min.s_star, b_max.s_star
-            vacuous = b_min.vacuous
-            err = max(service._h_cache[s_star_min][1], service._h_cache[s_star_max][1])
+            if t_min * d_srv + g1 * p1 >= 0.0 and t_max * d_srv + g1 * p1 >= 0.0:
+                raw_min = m_srv ** t_min / (1.0 - product)
+                raw_max = m_srv ** t_max / (1.0 - product)
+                s_star_min = s_star_max = S_FLOOR
+            else:
+                edge = stability_smax(arrival, service)
+                b_min, b_max = (violation_bound(t, arrival, service, s_max=edge)
+                                for t in (t_min, t_max))
+                raw_min, raw_max = b_min.raw_inf, b_max.raw_inf
+                s_star_min, s_star_max = b_min.s_star, b_max.s_star
+                vacuous = b_min.vacuous
+                err = max(service._h_cache[s_star_min][1],
+                          service._h_cache[s_star_max][1])
     finally:
         service._h_tensors.clear()
     bound_min, bound_max = min(1.0, raw_min), min(1.0, raw_max)

@@ -190,13 +190,12 @@ class Mlp:
 
 
 class OptimizerState:
-    """Adaptive-moment updates with bias correction.
+    """Adaptive-moment updates with bias correction, over one flat array.
 
     Decay rates (0, 0) bypass the moment machinery entirely and apply the
-    literal rule p -= lr * g.  ``m`` and ``v`` hold one moment array per
-    parameter array stepped: one for an Mlp's flat array.  ``scratch`` holds
-    two work arrays per parameter array so that a step allocates nothing; it
-    is not saved.
+    literal rule p -= lr * g.  ``m`` and ``v`` are the moment arrays of the
+    parameter array stepped, an Mlp's flat array.  ``scratch`` holds two work
+    arrays so that a step allocates nothing; it is not saved.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -212,93 +211,85 @@ class OptimizerState:
         self.v = None
         self.scratch = None
 
-    def to_blob(self, net: Mlp | None = None) -> dict:
-        """The state as JSON-ready values.  Given the net whose flat array
-        the state steps, each moment is written as that net's per-array
-        pieces, in parameters() order."""
-        def arrays(moments):
-            if moments is None:
-                return None
-            return [a.tolist() for a in (moments if net is None else net.split(moments[0]))]
+    def to_blob(self, net: Mlp) -> dict:
+        """The state as JSON-ready values, each moment written as the
+        per-array pieces of the net whose flat array it steps, in
+        parameters() order."""
+        def arrays(moment):
+            return None if moment is None else [a.tolist() for a in net.split(moment)]
         return {
             "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps, "step_count": self.step_count,
-            "dtype": None if self.m is None else self.m[0].dtype.name,
+            "dtype": None if self.m is None else self.m.dtype.name,
             "m": arrays(self.m),
             "v": arrays(self.v),
         }
 
     @classmethod
-    def from_blob(cls, blob: dict, net: Mlp | None = None) -> "OptimizerState":
-        """Inverse of to_blob: given the net, the per-array moment pieces are
-        joined into one moment array for its flat array."""
+    def from_blob(cls, blob: dict, net: Mlp) -> "OptimizerState":
+        """Inverse of to_blob: the per-array moment pieces are joined into one
+        moment array for the net's flat array."""
         opt = cls(blob["lr"], blob["beta1"], blob["beta2"], blob["eps"])
         opt.step_count = blob["step_count"]
         if blob["m"] is not None:
             dtype = np.dtype(blob["dtype"])
 
-            def arrays(pieces):
-                out = [np.array(a, dtype=dtype) for a in pieces]
-                if net is None:
-                    return out
-                flat = np.concatenate([a.ravel() for a in out])
+            def join(pieces):
+                flat = np.concatenate([np.array(a, dtype=dtype).ravel() for a in pieces])
                 if flat.size != net.flat.size:
                     raise ValueError("optimizer moments do not fit the net")
-                return [flat]
-            opt.m = arrays(blob["m"])
-            opt.v = arrays(blob["v"])
+                return flat
+            opt.m = join(blob["m"])
+            opt.v = join(blob["v"])
         return opt
 
 
-def optimizer_step(params, grads, opt: OptimizerState):
-    """One in-place update of every parameter array.
+def optimizer_step(param: np.ndarray, grad: np.ndarray, opt: OptimizerState):
+    """One in-place update of a parameter array.
 
     p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in the state's scratch
     arrays operation by operation in that order, so the result is the same
     to the bit as the expression evaluated with temporaries.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
     opt.step_count += 1
     if opt.beta1 == 0.0 and opt.beta2 == 0.0:
-        for p, g in zip(params, grads):
-            p -= opt.lr * g
+        param -= opt.lr * grad
         return
     if opt.m is None:
-        opt.m = [np.zeros_like(p) for p in params]
-        opt.v = [np.zeros_like(p) for p in params]
+        opt.m = np.zeros_like(param)
+        opt.v = np.zeros_like(param)
     if opt.scratch is None:
-        opt.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        opt.scratch = (np.empty_like(param), np.empty_like(param))
     t = opt.step_count
     m_scale = 1.0 - opt.beta1 ** t
     v_scale = 1.0 - opt.beta2 ** t
-    for p, g, m, v, (a, b) in zip(params, grads, opt.m, opt.v, opt.scratch):
-        m *= opt.beta1
-        np.multiply(1.0 - opt.beta1, g, out=a)
-        m += a
-        v *= opt.beta2
-        np.multiply(1.0 - opt.beta2, g, out=a)
-        a *= g
-        v += a
-        np.divide(m, m_scale, out=a)         # m_hat
-        a *= opt.lr
-        np.divide(v, v_scale, out=b)         # v_hat
-        np.sqrt(b, out=b)
-        b += opt.eps
-        a /= b
-        p -= a
+    m, v, (a, b) = opt.m, opt.v, opt.scratch
+    m *= opt.beta1
+    np.multiply(1.0 - opt.beta1, grad, out=a)
+    m += a
+    v *= opt.beta2
+    np.multiply(1.0 - opt.beta2, grad, out=a)
+    a *= grad
+    v += a
+    np.divide(m, m_scale, out=a)         # m_hat
+    a *= opt.lr
+    np.divide(v, v_scale, out=b)         # v_hat
+    np.sqrt(b, out=b)
+    b += opt.eps
+    a /= b
+    param -= a
 
 
-def clip_global_norm(grads, max_norm: float):
-    """Rescale the whole gradient list when its global L2 norm exceeds max_norm.
+def clip_global_norm(grads, max_norm: float) -> np.ndarray:
+    """The flat array behind grads, the views Mlp.backward returns, scaled
+    in place when the gradients' global L2 norm exceeds max_norm > 0.
 
-    The squares are summed array by array, in list order.  A rescaled list
-    is views into one new flat array of the gradients' dtype, scaled at once
-    in place, like the gradients Mlp.backward returns.
+    The squares are summed array by array, in list order; with
+    max_norm <= 0 no norm is formed.
     """
-    total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
-    if total > max_norm > 0:
-        flat = np.concatenate([g.ravel() for g in grads])
-        flat *= max_norm / total
-        grads = split_flat(flat, [g.shape for g in grads])
-    return grads
+    flat = grads[0].base
+    if max_norm > 0:
+        total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
+        if total > max_norm:
+            flat *= max_norm / total
+    return flat

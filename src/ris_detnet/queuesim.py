@@ -46,7 +46,9 @@ class QueueResult:
 
     ``delays`` is the virtual delay W (0 = fully served within the arrival
     slot; inf = not departed within the horizon) — the quantity the kernel
-    bound controls at matching horizon.
+    bound controls at matching horizon.  ``n_slots`` is the number of slots
+    simulated, at most the horizon: the run stops early once every analysed
+    packet has departed.
     """
 
     delays: np.ndarray
@@ -97,10 +99,12 @@ def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
     # carries: arrivals so far, then the service sum, running minimum and
     # departures at the end of the previous block (each starts neutral)
     n_arr, c_srv, c_min, c_dep = 0, -0.0, np.inf, -np.inf
+    n_slots = 0                         # slots simulated
     for start in range(0, t_slots, BLOCK_SLOTS):
         if wait_level.size == 0 and (start >= hi or n_left <= 0):
             break                       # later slots serve no analysed packet
         n = min(BLOCK_SLOTS, t_slots - start)
+        n_slots += n
         arrivals = rng.poisson(arrival.lambda_pkts, n)
         service = np.asarray(service_sampler(rng, n), dtype=float)
         if service.shape != (n,):
@@ -147,7 +151,7 @@ def simulate_queue(arrival: ArrivalModel, service_sampler, horizon_slots: int,
     dep_idx = np.concatenate(deps)
     delay = (dep_idx - np.concatenate(slots)).astype(float)
     delay[dep_idx >= t_slots] = np.inf
-    return QueueResult(delay, t_slots)
+    return QueueResult(delay, n_slots)
 
 
 def _rice_parts(stats: LinkStats, rng: np.random.Generator, size: int):

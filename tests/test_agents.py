@@ -394,7 +394,7 @@ def test_updates_do_not_touch_other_network():
     actor, critic = make_actor(12), make_critic(13)
     batch = make_batch(rng)
     critic_before = [p.copy() for p in critic.parameters()]
-    actor_update(batch, actor, critic, OptimizerState(1e-2), "paper_literal")
+    actor_update(batch, actor, critic, OptimizerState(1e-2))
     assert all(np.array_equal(a, b)
                for a, b in zip(critic_before, critic.parameters()))
     actor_before = [p.copy() for p in actor.parameters()]
@@ -550,19 +550,18 @@ def test_float32_optimizer_step_within_tolerance(reference_nets):
     opt64 = OptimizerState(1e-3)
     rng = np.random.default_rng(45)
     for _ in range(3):
-        optimizer_step(net64.parameters(),
-                       [rng.normal(size=p.shape) for p in net64.parameters()], opt64)
+        optimizer_step(net64.flat, rng.normal(size=net64.flat.size), opt64)
     blob = net64.to_blob()
     blob["dtype"] = "float32"
     net32 = Mlp.from_blob(blob)
-    opt_blob = opt64.to_blob()
+    opt_blob = opt64.to_blob(net64)
     opt_blob["dtype"] = "float32"
-    opt32 = OptimizerState.from_blob(opt_blob)
-    grads = [rng.normal(size=p.shape).astype(np.float32) for p in net32.parameters()]
-    optimizer_step(net32.parameters(), grads, opt32)
-    optimizer_step(net64.parameters(), [g.astype(float) for g in grads], opt64)
-    for a, b in zip(net32.parameters() + opt32.m + opt32.v,
-                    net64.parameters() + opt64.m + opt64.v):
+    opt32 = OptimizerState.from_blob(opt_blob, net32)
+    grad = rng.normal(size=net32.flat.size).astype(np.float32)
+    optimizer_step(net32.flat, grad, opt32)
+    optimizer_step(net64.flat, grad.astype(float), opt64)
+    for a, b in zip(net32.parameters() + net32.split(opt32.m) + net32.split(opt32.v),
+                    net64.parameters() + net64.split(opt64.m) + net64.split(opt64.v)):
         assert a.dtype == np.float32
         assert rel_norm(a, b) <= 1e-5
 
@@ -580,7 +579,7 @@ def saved_arrays(agent):
     arrays = [p for net in nets for p in net.parameters()]
     for opt in opts:
         assert opt.m is not None, "no Adam moments: the agent never learned"
-        arrays += opt.m + opt.v
+        arrays += [opt.m, opt.v]
     return arrays
 
 
@@ -593,8 +592,7 @@ def test_agents_keep_float32_after_training(agent_cls):
     log = agent.train(episodes=1, steps=45)
     assert not math.isnan(log.rows[-1]["critic_loss"])
     _, opts = nets_and_opts(agent)
-    arrays = saved_arrays(agent) + [a for opt in opts for pair in opt.scratch
-                                    for a in pair]
+    arrays = saved_arrays(agent) + [a for opt in opts for a in opt.scratch]
     if agent_cls is SidPdqnAgent:
         assert agent.scratch, "no pass_q scratch: the agent never learned"
         arrays += list(agent.scratch.values())
@@ -712,7 +710,7 @@ def test_optimizer_key_selects_the_update_rule(optimizer, step):
     opt = AgentConfig.from_scenario(cfg).make_optimizer(0.1)
     net = Mlp([2, 2], np.random.default_rng(0))
     before = net.flat.copy()
-    optimizer_step([net.flat], [np.full_like(net.flat, 2.0)], opt)
+    optimizer_step(net.flat, np.full_like(net.flat, 2.0), opt)
     assert np.allclose(net.flat, before - step, rtol=0.0, atol=1e-7)
     if optimizer == "plain_sgd":
         assert np.array_equal(net.flat, before - 0.1 * 2.0)

@@ -322,7 +322,7 @@ def test_cli_analyze_huge_user_count_is_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# one or two keys at a boundary value on a tiny scenario: analyze exits 0
+# one to five keys at a boundary value on a tiny scenario: analyze exits 0
 # with finite cells (s_max may be infinite only for a vacuous bound) or 1
 # with a config error; a huge value runs only in a child process with a
 # 1 GiB address space
@@ -384,6 +384,13 @@ def test_cli_analyze_three_key_boundary_values_exit_cleanly(cases):
 @given(cases=st.tuples(*[st.sampled_from(BOUNDARY_CASES)] * 4)
        .filter(lambda cases: len({case[:2] for case in cases}) == 4))
 def test_cli_analyze_four_key_boundary_values_exit_cleanly(cases):
+    assert_analyze_exits_cleanly(*cases)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases=st.tuples(*[st.sampled_from(BOUNDARY_CASES)] * 5)
+       .filter(lambda cases: len({case[:2] for case in cases}) == 5))
+def test_cli_analyze_five_key_boundary_values_exit_cleanly(cases):
     assert_analyze_exits_cleanly(*cases)
 
 
@@ -715,6 +722,22 @@ def test_cli_dqn_per_user_networks_is_config_error(tmp_path, capsys, argv):
         assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
         key = line.split()[0]
         assert f"unknown key '{key}' in section [agent]" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["train"], ["evaluate"]],
+                         ids=["analyze", "train", "evaluate"])
+def test_cli_deleted_learner_fork_keys_are_config_error(tmp_path, capsys, argv):
+    # the state always carries Eve's features and SID-PDQN always trains on
+    # the paper's actor loss, so the keys that switched either are unknown
+    for section, line in (("env", "observe_eve = false"),
+                          ("agent", "actor_loss_mode = standard_pdqn")):
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(SMALL.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+        key = line.split()[0]
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
 

@@ -343,13 +343,6 @@ def test_reward_in_unit_interval_and_penalty():
         assert 0.0 <= out.reward <= 1.0
 
 
-def test_observe_eve_flag_zeroes_features():
-    cfg = scenario(**{"env.observe_eve": False})
-    env = RisDownlinkEnv(cfg, seed=9)
-    states = env.reset(episode=0)
-    assert np.all(states[0].chan_eve == 0.0)
-
-
 def test_state_encode_dimension():
     env = RisDownlinkEnv(scenario(), seed=10)
     states = env.reset(episode=0)

@@ -825,6 +825,31 @@ def _eager_determinacy(window, arrival, service):
                                       for b in (b_min, b_max)))
 
 
+def test_vacuous_floor_searches_no_edge_and_forms_no_curvature(monkeypatch):
+    # at lambda_pkts = 60 the floor of the reference config's user 0 is
+    # unstable: the determinacy is vacuous from its floor probe alone, with
+    # every field of the eager determinacy
+    cfg, users = _reference_config_services()
+    window = DelayWindow(cfg.get("delay", "t_min"), cfg.get("delay", "t_max"))
+    arrival = ArrivalModel(60.0, cfg.get("arrival", "pkt_bits"),
+                           cfg.get("arrival", "variant"))
+    want = _eager_determinacy(window, arrival, users[0]())
+    calls = {"stability_smax": 0, "violation_bound": 0, "_h_curvature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(mellin, name, counted(name, getattr(mellin, name)))
+    res = delay_determinacy(window, arrival, users[0]())
+    assert calls == {"stability_smax": 0, "violation_bound": 0, "_h_curvature": 0}
+    assert res.clamped["vacuous"] and res.bound_tmin == res.bound_tmax == 1.0
+    assert res.s_star_tmin == res.s_star_tmax == mellin.S_FLOOR
+    assert {**_result_fields(res), "s_max": math.nan.hex()} == want
+
+
 def _determinacy_fields(**fields):
     """Every field of a determinacy, floats as their exact hex form."""
     return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}

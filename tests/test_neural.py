@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ris_detnet.neural import (Mlp, OptimizerState, clip_global_norm,
-                               optimizer_step, sigmoid, softmax)
+                               optimizer_step, sigmoid, softmax, split_flat)
 
 
 def finite_diff_grads(net, loss_fn, h=1e-5):
@@ -141,32 +141,29 @@ def test_backward_linear_layer_outer_product():
 
 def test_plain_sgd_mode_is_literal_update():
     net = Mlp([2, 2], np.random.default_rng(0))
-    before = [p.copy() for p in net.parameters()]
-    grads = [np.ones_like(p) for p in net.parameters()]
+    before = net.flat.copy()
     opt = OptimizerState(lr=0.1, beta1=0.0, beta2=0.0)
-    optimizer_step(net.parameters(), grads, opt)
-    for b, p in zip(before, net.parameters()):
-        assert np.allclose(p, b - 0.1, atol=1e-15)
+    optimizer_step(net.flat, np.ones_like(net.flat), opt)
+    assert np.allclose(net.flat, before - 0.1, atol=1e-15)
 
 
 def test_zero_gradient_leaves_params_unchanged():
     net = Mlp([3, 3], np.random.default_rng(2))
-    before = [p.copy() for p in net.parameters()]
-    zeros = [np.zeros_like(p) for p in net.parameters()]
+    before = net.flat.copy()
+    zeros = np.zeros_like(net.flat)
     opt = OptimizerState(lr=0.5)
-    optimizer_step(net.parameters(), zeros, opt)
-    optimizer_step(net.parameters(), zeros, opt)
-    for b, p in zip(before, net.parameters()):
-        assert np.array_equal(b, p)
+    optimizer_step(net.flat, zeros, opt)
+    optimizer_step(net.flat, zeros, opt)
+    assert np.array_equal(before, net.flat)
 
 
 def test_adam_converges_on_quadratic():
-    w = [np.array([3.0, -4.0, 2.0])]
+    w = np.array([3.0, -4.0, 2.0])
     opt = OptimizerState(lr=0.1)
-    f0 = float(np.sum(w[0] ** 2))
+    f0 = float(np.sum(w ** 2))
     for _ in range(200):
-        optimizer_step(w, [2.0 * w[0]], opt)
-    assert float(np.sum(w[0] ** 2)) < f0 / 100.0
+        optimizer_step(w, 2.0 * w, opt)
+    assert float(np.sum(w ** 2)) < f0 / 100.0
 
 
 def test_parameter_count_invariant_under_steps():
@@ -174,8 +171,7 @@ def test_parameter_count_invariant_under_steps():
     shapes = [p.shape for p in net.parameters()]
     opt = OptimizerState(lr=0.01)
     for _ in range(5):
-        grads = [np.ones_like(p) for p in net.parameters()]
-        optimizer_step(net.parameters(), grads, opt)
+        optimizer_step(net.flat, np.ones_like(net.flat), opt)
     assert [p.shape for p in net.parameters()] == shapes
 
 
@@ -183,42 +179,44 @@ def test_optimizer_step_matches_adam_formula_bitwise():
     # the in-place step against the expression it evaluates, with temporaries
     rng = np.random.default_rng(8)
     net = Mlp([5, 7, 3], rng)
-    ref = [p.copy() for p in net.parameters()]
-    m = [np.zeros_like(p) for p in ref]
-    v = [np.zeros_like(p) for p in ref]
+    p = net.flat.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
     opt = OptimizerState(lr=0.01)
     b1, b2, eps = opt.beta1, opt.beta2, opt.eps
     for t in range(1, 51):
-        grads = [rng.normal(size=p.shape) for p in ref]
-        optimizer_step(net.parameters(), grads, opt)
-        for p, g, mi, vi in zip(ref, grads, m, v):
-            mi *= b1
-            mi += (1.0 - b1) * g
-            vi *= b2
-            vi += (1.0 - b2) * g * g
-            m_hat = mi / (1.0 - b1 ** t)
-            v_hat = vi / (1.0 - b2 ** t)
-            p -= opt.lr * m_hat / (np.sqrt(v_hat) + eps)
-        for p, r in zip(net.parameters(), ref):
-            assert np.array_equal(p, r)
+        g = rng.normal(size=p.shape)
+        optimizer_step(net.flat, g, opt)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p -= opt.lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(net.flat, p)
 
 
 def test_clip_global_norm():
-    grads = [np.array([3.0, 4.0])]     # norm 5
-    clipped = clip_global_norm(grads, 1.0)
-    assert np.allclose(clipped[0], [0.6, 0.8])
-    small = [np.array([0.1, 0.1])]
-    assert clip_global_norm(small, 10.0)[0] is small[0]
+    # the flat array behind the views comes back, scaled in place if at all
+    flat = np.array([3.0, 4.0])        # norm 5
+    assert clip_global_norm(split_flat(flat, [(2,)]), 1.0) is flat
+    assert np.allclose(flat, [0.6, 0.8])
+    small = np.array([0.1, 0.1])
+    assert clip_global_norm(split_flat(small, [(2,)]), 10.0) is small
+    assert np.array_equal(small, [0.1, 0.1])
+    for off in (0.0, -1.0):
+        assert clip_global_norm(split_flat(flat, [(2,)]), off) is flat
+        assert np.allclose(flat, [0.6, 0.8])
 
 
 def test_firing_clip_keeps_float32_gradients():
     # the float64 scale must not promote a float32 net's gradients, or Adam
     # would step the float32 net in float64
-    grads = [np.array([3.0, 4.0], dtype=np.float32), np.array([[12.0]], dtype=np.float32)]
-    clipped = clip_global_norm(grads, 1.0)    # norm 13
-    assert all(g.dtype == np.float32 for g in clipped)
-    assert np.allclose(np.concatenate([g.ravel() for g in clipped]),
-                       np.array([3.0, 4.0, 12.0]) / 13.0, rtol=1e-7, atol=0.0)
+    flat = np.array([3.0, 4.0, 12.0], dtype=np.float32)
+    clipped = clip_global_norm(split_flat(flat, [(2,), (1, 1)]), 1.0)    # norm 13
+    assert clipped is flat and clipped.dtype == np.float32
+    assert np.allclose(clipped, np.array([3.0, 4.0, 12.0]) / 13.0, rtol=1e-7, atol=0.0)
 
 
 def test_float32_net_holds_its_float64_twin_weights_rounded():
@@ -246,10 +244,10 @@ def test_blob_round_trip():
     b, _ = twin.forward(x)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     opt = OptimizerState(lr=0.01)
-    optimizer_step(net.parameters(), [np.ones_like(p) for p in net.parameters()], opt)
-    opt2 = OptimizerState.from_blob(opt.to_blob())
+    optimizer_step(net.flat, np.ones_like(net.flat), opt)
+    opt2 = OptimizerState.from_blob(opt.to_blob(net), net)
     assert opt2.step_count == 1
-    assert np.allclose(opt2.m[0], opt.m[0])
+    assert np.allclose(opt2.m, opt.m)
 
 
 def test_blob_round_trip_keeps_float32_bitwise():
@@ -258,13 +256,11 @@ def test_blob_round_trip_keeps_float32_bitwise():
     opt = OptimizerState(lr=0.01)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        optimizer_step(net.parameters(),
-                       [rng.normal(size=p.shape).astype(np.float32)
-                        for p in net.parameters()], opt)
+        optimizer_step(net.flat, rng.normal(size=net.flat.size).astype(np.float32), opt)
     twin = Mlp.from_blob(json.loads(json.dumps(net.to_blob())))
-    opt2 = OptimizerState.from_blob(json.loads(json.dumps(opt.to_blob())))
-    for saved, loaded in zip(net.parameters() + opt.m + opt.v,
-                             twin.parameters() + opt2.m + opt2.v):
+    opt2 = OptimizerState.from_blob(json.loads(json.dumps(opt.to_blob(net))), twin)
+    for saved, loaded in zip(net.parameters() + [opt.m, opt.v],
+                             twin.parameters() + [opt2.m, opt2.v]):
         assert loaded.dtype == np.float32
         assert np.array_equal(saved, loaded)
 
@@ -315,6 +311,13 @@ def _clip_reference(grads, max_norm):
         scale = max_norm / total
         grads = [(g * scale).astype(g.dtype) for g in grads]
     return grads
+
+
+def per_array_steps(net, grads, opts):
+    """One optimizer_step per parameter array of net, each with its own
+    state: the reference for one step over the flat array."""
+    for p, g, opt in zip(net.parameters(), grads, opts, strict=True):
+        optimizer_step(p, g, opt)
 
 
 def _bits(a):
@@ -388,7 +391,8 @@ def test_backward_flat_gradients_equal_per_array_backward(dtype, head):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("optimizer", ["adam", "plain_sgd"])
 def test_flat_optimizer_step_equals_per_array_steps(dtype, optimizer):
-    # one optimizer_step over the flat arrays against one per parameter array
+    # one optimizer_step over the flat array against one per parameter
+    # array, each with its own state
     def make_opt():
         if optimizer == "plain_sgd":
             return OptimizerState(0.01, beta1=0.0, beta2=0.0)
@@ -396,19 +400,21 @@ def test_flat_optimizer_step_equals_per_array_steps(dtype, optimizer):
     dims = [7, 16, 9, 5]
     flat_net = Mlp(dims, np.random.default_rng(3), dtype=dtype)
     ref_net = Mlp(dims, np.random.default_rng(3), dtype=dtype)
-    flat_opt, ref_opt = make_opt(), make_opt()
+    flat_opt = make_opt()
+    ref_opts = [make_opt() for _ in ref_net.parameters()]
     rng = np.random.default_rng(4)
     for _ in range(50):
         grad = (rng.normal(size=flat_net.flat.size) * 10.0).astype(dtype)
-        optimizer_step([flat_net.flat], [grad], flat_opt)
-        optimizer_step(ref_net.parameters(), [g.copy() for g in ref_net.split(grad)],
-                       ref_opt)
+        optimizer_step(flat_net.flat, grad, flat_opt)
+        per_array_steps(ref_net, ref_net.split(grad.copy()), ref_opts)
         assert np.array_equal(_bits(flat_net.flat), _bits(ref_net.flat))
     if optimizer == "adam":
-        for flat_moment, ref_moments in ((flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
-            assert len(flat_moment) == 1 and flat_moment[0].dtype == dtype
+        for flat_moment, ref_moments in ((flat_opt.m, [o.m for o in ref_opts]),
+                                         (flat_opt.v, [o.v for o in ref_opts])):
+            assert flat_moment.shape == flat_net.flat.shape
+            assert flat_moment.dtype == dtype
             assert np.array_equal(
-                _bits(flat_moment[0]),
+                _bits(flat_moment),
                 _bits(np.concatenate([a.ravel() for a in ref_moments])))
 
 
@@ -420,41 +426,43 @@ def test_flat_clipping_equals_per_array_clipping(dtype, max_norm):
     dims = [5, 12, 4]
     flat_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
     ref_net = Mlp(dims, np.random.default_rng(5), dtype=dtype)
-    flat_opt, ref_opt = OptimizerState(0.01), OptimizerState(0.01)
+    flat_opt = OptimizerState(0.01)
+    ref_opts = [OptimizerState(0.01) for _ in ref_net.parameters()]
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = rng.normal(size=(8, 5))
         out, cache = flat_net.forward(x)
         grads = flat_net.backward(cache, rng.normal(size=out.shape))
         want = _clip_reference([g.copy() for g in grads], max_norm)
-        got = clip_global_norm(grads, max_norm)
-        assert (got is grads) == (max_norm == 1e6)
-        flat = got[0].base
-        assert all(g.base is flat for g in got) and flat.size == flat_net.flat.size
-        for g, w in zip(got, want, strict=True):
+        flat = clip_global_norm(grads, max_norm)
+        assert flat is grads[0].base and flat.size == flat_net.flat.size
+        for g, w in zip(flat_net.split(flat), want, strict=True):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(_bits(g), _bits(w))
-        optimizer_step([flat_net.flat], [flat], flat_opt)
-        optimizer_step(ref_net.parameters(), want, ref_opt)
+        optimizer_step(flat_net.flat, flat, flat_opt)
+        per_array_steps(ref_net, want, ref_opts)
         assert np.array_equal(_bits(flat_net.flat), _bits(ref_net.flat))
 
 
 def test_optimizer_blob_splits_and_joins_flat_moments():
     # a state that steps a net's flat array is saved per parameter array, as
-    # the per-array state would be, and loads back flat
+    # per-array states would hold it, and loads back flat
     net = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
     twin = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
-    flat_opt, ref_opt = OptimizerState(0.01), OptimizerState(0.01)
+    flat_opt = OptimizerState(0.01)
+    ref_opts = [OptimizerState(0.01) for _ in twin.parameters()]
     rng = np.random.default_rng(5)
     for _ in range(3):
         grad = rng.normal(size=net.flat.size).astype(np.float32)
-        optimizer_step([net.flat], [grad], flat_opt)
-        optimizer_step(twin.parameters(), [g.copy() for g in twin.split(grad)], ref_opt)
+        optimizer_step(net.flat, grad, flat_opt)
+        per_array_steps(twin, twin.split(grad.copy()), ref_opts)
     blob = json.loads(json.dumps(flat_opt.to_blob(net)))
-    assert blob == json.loads(json.dumps(ref_opt.to_blob()))
+    assert blob["m"] == [o.m.tolist() for o in ref_opts]
+    assert blob["v"] == [o.v.tolist() for o in ref_opts]
+    assert blob["dtype"] == "float32" and blob["step_count"] == 3
     loaded = OptimizerState.from_blob(blob, net)
     for saved, back in ((flat_opt.m, loaded.m), (flat_opt.v, loaded.v)):
-        assert len(back) == 1 and back[0].dtype == np.float32
-        assert np.array_equal(saved[0], back[0])
+        assert back.shape == net.flat.shape and back.dtype == np.float32
+        assert np.array_equal(saved, back)
     with pytest.raises(ValueError):
         OptimizerState.from_blob(blob, Mlp([3, 6, 4], np.random.default_rng(0)))

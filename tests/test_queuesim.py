@@ -114,14 +114,13 @@ def whole_array_model_sampler(stats, secrecy):
 
 
 def cursor_sampler(service):
-    """A sampler that serves the next n values of ``service`` on each call."""
-    pos = 0
-
+    """A sampler that serves the next n values of ``service`` on each call;
+    ``sampler.served`` counts the values served so far."""
     def sampler(_rng, n):
-        nonlocal pos
-        pos += n
-        return service[pos - n:pos]
+        sampler.served += n
+        return service[sampler.served - n:sampler.served]
 
+    sampler.served = 0
     return sampler
 
 
@@ -163,14 +162,35 @@ def test_block_queue_equals_whole_array_pass(horizon, lam, load, flush_share,
     service[neg] = -np.abs(service[neg])
     service[svc_rng.random(horizon) < flush_share] = FLUSH_BITS
     arrival = ArrivalModel(lam, x)
+    blocks = cursor_sampler(service)
     with analysed_slots(warmup, censor):
-        got = simulate_queue(arrival, cursor_sampler(service), horizon, n_packets,
+        got = simulate_queue(arrival, blocks, horizon, n_packets,
                              np.random.default_rng(seed))
     want = whole_array_queue(arrival, cursor_sampler(service), horizon, n_packets,
                              np.random.default_rng(seed), warmup, censor)
     assert got.delays.dtype == want.delays.dtype
     assert np.array_equal(got.delays, want.delays)
-    assert got.n_slots == want.n_slots
+    # the slots simulated: those the sampler served, at most the horizon
+    assert got.n_slots == blocks.served <= want.n_slots == horizon
+
+
+@pytest.mark.parametrize("horizon", [0, 1, BLOCK_SLOTS + 1, 10 * BLOCK_SLOTS])
+def test_n_slots_counts_the_slots_simulated(horizon):
+    # 200 packets at lambda 0.08 all depart within the first block, so a
+    # long horizon stops after it; n_slots is the sum of the block lengths
+    # the sampler was asked for
+    asked = []
+    model = model_matched_service_sampler(STATS, SECRECY)
+
+    def sampler(rng, n):
+        asked.append(n)
+        return model(rng, n)
+
+    res = simulate_queue(ARRIVAL, sampler, horizon, 200, np.random.default_rng(9))
+    assert res.n_slots == sum(asked) <= horizon
+    if horizon == 10 * BLOCK_SLOTS:
+        assert np.all(np.isfinite(res.delays)) and res.n_packets == 200
+        assert res.n_slots == BLOCK_SLOTS
 
 
 @pytest.mark.parametrize("n_slots", EDGE_HORIZONS + [3 * BLOCK_SLOTS + 7])
