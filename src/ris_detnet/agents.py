@@ -26,7 +26,7 @@ from .config import ConfigError, ScenarioConfig, config_hash
 from .env import STATE_DIM, HybridAction, RisDownlinkEnv
 from .neural import Mlp, OptimizerState, clip_global_norm, optimizer_step
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # the learners' weights, activations, gradients and moments; replay records
 # and targets stay float64
 NET_DTYPE = np.float32
@@ -225,8 +225,8 @@ def collect_slot(states: list, order, choose, env: RisDownlinkEnv):
     Users act in the given order; choose(user, encoded_state) returns
     (HybridAction, record).  Each selection decrements the remaining
     power/blocklength budgets and updates the peer summary seen by later
-    users.  Returns per-user actions, the encoded states each user saw and
-    the records.
+    users; the states passed in are left as they are.  Returns per-user
+    actions, the encoded states each user saw and the records.
     """
     n_users = len(states)
     actions: list = [None] * n_users
@@ -237,14 +237,12 @@ def collect_slot(states: list, order, choose, env: RisDownlinkEnv):
     power_fracs: list = []
     cbl_params: list = []
     for rank, user in enumerate(order):
-        sv = states[user]
-        sv.remaining_power = remaining_power
-        sv.remaining_cbl = remaining_cbl
-        sv.slot_peers = np.array([
-            rank / max(1, n_users),
-            float(np.mean(power_fracs)) if power_fracs else 0.0,
-            float(np.mean(cbl_params)) if cbl_params else 0.0,
-        ])
+        sv = replace(states[user], remaining_power=remaining_power,
+                     remaining_cbl=remaining_cbl, slot_peers=np.array([
+                         rank / max(1, n_users),
+                         float(np.mean(power_fracs)) if power_fracs else 0.0,
+                         float(np.mean(cbl_params)) if cbl_params else 0.0,
+                     ]))
         enc = sv.encode(env.p_max, env.n_max)
         act, records[user] = choose(user, enc)
         actions[user] = act
@@ -477,22 +475,80 @@ class Agent:
         mean_varpi = (varpis / max(count, 1)).tolist()
         return float(np.mean(rewards)) if rewards else math.nan, mean_varpi
 
-    # -- persistence: a subclass names its algo and its network blobs ------
+    # -- persistence: a learner names its algo, its nets and its optimizers --
 
     def to_blob(self) -> dict:
+        """The learner's state: each net's flat array, and each optimizer's
+        step count and moments (None before its first step).  The layout and
+        the hyperparameters are the scenario's, which config_hash pins."""
+        def listed(a):
+            return None if a is None else a.tolist()
         return {"version": CHECKPOINT_VERSION, "algo": self.algo,
-                **self._net_blobs(),
+                "nets": {name: net.flat.tolist() for name, net in self._nets().items()},
+                "optimizers": {name: {"step_count": opt.step_count,
+                                      "m": listed(opt.m), "v": listed(opt.v)}
+                               for name, (opt, _) in self._optimizers().items()},
                 "rng_state": self.rng.bit_generator.state,
                 "global_step": self.global_step}
 
     def load_blob(self, blob: dict):
+        """Load a to_blob state in place into the nets and optimizers built
+        from the scenario.  Every entry is checked before any is loaded: a
+        missing or malformed one raises ConfigError."""
         if blob.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint version mismatch: {blob.get('version')}")
         if blob.get("algo") != self.algo:
             raise ConfigError(f"checkpoint algo mismatch: {blob.get('algo')}")
-        self._load_nets(blob)
-        self.rng.bit_generator.state = blob["rng_state"]
-        self.global_step = blob["global_step"]
+        nets = _entry(blob, "nets")
+        flats = [(net.flat, _finite_array(_entry(nets, name), net.flat, name))
+                 for name, net in self._nets().items()]
+        saved = _entry(blob, "optimizers")
+        opts = []
+        for name, (opt, net) in self._optimizers().items():
+            entry = _entry(saved, name)
+            moments = [_entry(entry, k) for k in ("m", "v")]
+            if moments != [None, None]:         # both moments, or neither
+                moments = [_finite_array(a, net.flat, f"{name} optimizer {k}")
+                           for k, a in zip(("m", "v"), moments)]
+            step_count = _count(_entry(entry, "step_count"), f"{name} step_count")
+            opts.append((opt, step_count, *moments))
+        global_step = _count(_entry(blob, "global_step"), "global_step")
+        rng_state = _entry(blob, "rng_state")
+        try:
+            self.rng.bit_generator.state = rng_state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint rng_state rejected: {exc}") from None
+        for flat, values in flats:
+            flat[...] = values
+        for opt, step_count, m, v in opts:
+            opt.step_count, opt.m, opt.v = step_count, m, v
+        self.global_step = global_step
+
+
+def _entry(blob, key: str):
+    """blob[key] of a checkpoint's JSON object; ConfigError if it has none."""
+    if not isinstance(blob, dict) or key not in blob:
+        raise ConfigError(f"checkpoint has no {key!r} entry")
+    return blob[key]
+
+
+def _finite_array(values, like: np.ndarray, what: str) -> np.ndarray:
+    """A checkpoint list as an array of like's dtype; ConfigError unless it
+    holds exactly like.size floats, as to_blob writes them, each finite in
+    that dtype."""
+    if (isinstance(values, list) and len(values) == like.size
+            and all(type(x) is float for x in values)):
+        with np.errstate(over="ignore"):
+            arr = np.array(values, dtype=like.dtype)
+        if np.isfinite(arr).all():
+            return arr
+    raise ConfigError(f"checkpoint {what} is not a list of {like.size} finite floats")
+
+
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"checkpoint {what} is not a non-negative integer: {value!r}")
+    return value
 
 
 class SidPdqnAgent(Agent):
@@ -504,7 +560,6 @@ class SidPdqnAgent(Agent):
         n_l = env.codebook.size
         super().__init__(env, config, np.random.default_rng([seed, 21]), n_l)
         net_rng = np.random.default_rng([seed, 22])
-        self.n_discrete = n_l
         self.actor = Mlp([STATE_DIM, *config.hidden, 2 * n_l], net_rng,
                          head="actor", n_discrete=n_l, dtype=NET_DTYPE)
         self.critic = Mlp([STATE_DIM + n_l, *config.hidden, n_l], net_rng,
@@ -538,22 +593,13 @@ class SidPdqnAgent(Agent):
     def sync_target(self):
         self.critic_target = self.critic.copy()
 
-    def _net_blobs(self) -> dict:
-        return {
-            "n_discrete": self.n_discrete,
-            "actor": self.actor.to_blob(),
-            "critic": self.critic.to_blob(),
-            "critic_target": self.critic_target.to_blob(),
-            "actor_opt": self.actor_opt.to_blob(self.actor),
-            "critic_opt": self.critic_opt.to_blob(self.critic),
-        }
+    def _nets(self) -> dict:
+        return {"actor": self.actor, "critic": self.critic,
+                "critic_target": self.critic_target}
 
-    def _load_nets(self, blob: dict):
-        self.actor = Mlp.from_blob(blob["actor"])
-        self.critic = Mlp.from_blob(blob["critic"])
-        self.critic_target = Mlp.from_blob(blob["critic_target"])
-        self.actor_opt = OptimizerState.from_blob(blob["actor_opt"], self.actor)
-        self.critic_opt = OptimizerState.from_blob(blob["critic_opt"], self.critic)
+    def _optimizers(self) -> dict:
+        return {"actor": (self.actor_opt, self.actor),
+                "critic": (self.critic_opt, self.critic)}
 
 
 class DqnAgent(Agent):
@@ -608,15 +654,11 @@ class DqnAgent(Agent):
     def sync_target(self):
         self.q_target = self.q_net.copy()
 
-    def _net_blobs(self) -> dict:
-        return {"q_net": self.q_net.to_blob(), "q_target": self.q_target.to_blob(),
-                "opt": self.opt.to_blob(self.q_net), "cbl_grid": self.cbl_grid.tolist()}
+    def _nets(self) -> dict:
+        return {"q_net": self.q_net, "q_target": self.q_target}
 
-    def _load_nets(self, blob: dict):
-        self.q_net = Mlp.from_blob(blob["q_net"])
-        self.q_target = Mlp.from_blob(blob["q_target"])
-        self.opt = OptimizerState.from_blob(blob["opt"], self.q_net)
-        self.cbl_grid = np.array(blob["cbl_grid"])
+    def _optimizers(self) -> dict:
+        return {"q_net": (self.opt, self.q_net)}
 
 
 class RandomPolicy(Agent):
@@ -652,9 +694,10 @@ def save_checkpoint(path: str, agent, scenario: ScenarioConfig):
 
 
 def load_checkpoint(path: str, agent, scenario: ScenarioConfig):
-    """Restore ``agent`` from a checkpoint file.  An unreadable file, one that
-    is not a JSON object, one trained under another scenario, or one of
-    another checkpoint version or algo raises ConfigError."""
+    """Restore ``agent``, built from ``scenario``, from a checkpoint file.  An
+    unreadable file, one that is not a JSON object, one trained under another
+    scenario, one of another checkpoint version or algo, or one with a
+    missing or malformed entry raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)

@@ -22,8 +22,10 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def svg_line_chart(path: str, series, title: str = "", xlabel: str = "",
-                   ylabel: str = "", width: int = 640, height: int = 420):
-    """Write a line chart; series is a list of (label, xs, ys)."""
+                   ylabel: str = "", width: int = 640, height: int = 420,
+                   xlabels=None):
+    """Write a line chart; series is a list of (label, xs, ys).  With
+    xlabels, the x ticks are at 0, 1, ... and labelled by those texts."""
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -52,11 +54,14 @@ def svg_line_chart(path: str, series, title: str = "", xlabel: str = "",
                  'stroke="black" stroke-width="1"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" '
                  'stroke="black" stroke-width="1"/>')
-    for tx in _ticks(x_lo, x_hi):
+    xticks = ([(tx, f"{tx:.3g}") for tx in _ticks(x_lo, x_hi)] if xlabels is None
+              else [(i, text.replace("&", "&amp;").replace("<", "&lt;"))
+                    for i, text in enumerate(xlabels)])
+    for tx, text in xticks:
         parts.append(f'<line x1="{_fmt(px(tx))}" y1="{mt + ph}" x2="{_fmt(px(tx))}" '
                      f'y2="{mt + ph + 4}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(px(tx))}" y="{mt + ph + 18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="10">{tx:.3g}</text>')
+                     f'font-family="sans-serif" font-size="10">{text}</text>')
     for ty in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{ml - 4}" y1="{_fmt(py(ty))}" x2="{ml}" '
                      f'y2="{_fmt(py(ty))}" stroke="black"/>')

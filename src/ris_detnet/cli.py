@@ -273,16 +273,23 @@ def cmd_sweep(args) -> int:
     rows = [{c: r[c] for c in columns} for r in results]
     out_csv = os.path.join(outdir, "sweep.csv")
     write_csv(out_csv, columns, rows, cfg, seed)
+    try:                        # numbers, charted in increasing order
+        x_of = {v: float(v) for v in values}
+        labels = None
+    except ValueError:          # text, charted at ranks 0, 1, ... in the order given
+        labels = list(dict.fromkeys(values))
+        x_of = {v: i for i, v in enumerate(labels)}
     by_value = {}
     for r in results:
-        by_value.setdefault(float(r["value"]), []).append(r["metric"])
+        by_value.setdefault(x_of[r["value"]], []).append(r["metric"])
     xs = sorted(by_value)
     ys = [float(np.mean(by_value[x])) for x in xs]
     ylabel = "mean varpi" if args.mode == "analyze" else "eval reward"
     svg_line_chart(os.path.join(outdir, "sweep.svg"), [(args.param, xs, ys)],
-                   title=f"sweep over {args.param}", xlabel=args.param, ylabel=ylabel)
+                   title=f"sweep over {args.param}", xlabel=args.param, ylabel=ylabel,
+                   xlabels=labels)
     for x, y in zip(xs, ys):
-        print(f"{args.param}={x:g}: {ylabel}={y:.6g}")
+        print(f"{args.param}={labels[x] if labels else format(x, 'g')}: {ylabel}={y:.6g}")
     print(f"wrote {out_csv}")
     return 0
 

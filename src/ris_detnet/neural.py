@@ -164,30 +164,6 @@ class Mlp:
         twin._adopt(self.flat.copy())
         return twin
 
-    # -- portable text blob ------------------------------------------------
-
-    def to_blob(self) -> dict:
-        return {
-            "layer_dims": self.layer_dims,
-            "head": self.head,
-            "n_discrete": self.n_discrete,
-            "dtype": self.dtype.name,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict) -> "Mlp":
-        net = cls.__new__(cls)
-        net.layer_dims = list(blob["layer_dims"])
-        net.head = blob["head"]
-        net.n_discrete = blob["n_discrete"]
-        dtype = np.dtype(blob["dtype"])
-        net._adopt(np.concatenate([np.array(a, dtype=dtype).ravel()
-                                   for w, b in zip(blob["weights"], blob["biases"])
-                                   for a in (w, b)]))
-        return net
-
 
 class OptimizerState:
     """Adaptive-moment updates with bias correction, over one flat array.
@@ -210,38 +186,6 @@ class OptimizerState:
         self.m = None
         self.v = None
         self.scratch = None
-
-    def to_blob(self, net: Mlp) -> dict:
-        """The state as JSON-ready values, each moment written as the
-        per-array pieces of the net whose flat array it steps, in
-        parameters() order."""
-        def arrays(moment):
-            return None if moment is None else [a.tolist() for a in net.split(moment)]
-        return {
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps, "step_count": self.step_count,
-            "dtype": None if self.m is None else self.m.dtype.name,
-            "m": arrays(self.m),
-            "v": arrays(self.v),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: dict, net: Mlp) -> "OptimizerState":
-        """Inverse of to_blob: the per-array moment pieces are joined into one
-        moment array for the net's flat array."""
-        opt = cls(blob["lr"], blob["beta1"], blob["beta2"], blob["eps"])
-        opt.step_count = blob["step_count"]
-        if blob["m"] is not None:
-            dtype = np.dtype(blob["dtype"])
-
-            def join(pieces):
-                flat = np.concatenate([np.array(a, dtype=dtype).ravel() for a in pieces])
-                if flat.size != net.flat.size:
-                    raise ValueError("optimizer moments do not fit the net")
-                return flat
-            opt.m = join(blob["m"])
-            opt.v = join(blob["v"])
-        return opt
 
 
 def optimizer_step(param: np.ndarray, grad: np.ndarray, opt: OptimizerState):

@@ -225,18 +225,38 @@ def test_sid_budget_telegraphing():
     from ris_detnet.env import STATE_DIM as SD
     actor = make_actor(0, SD, env.codebook.size)
     critic = make_critic(1, SD, env.codebook.size)
-    acts, _, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
-                                  env.codebook, env, np.random.default_rng(7))
+    acts, encoded, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
+                                        env.codebook, env, np.random.default_rng(7))
     first, second = env.sid_order
+    # entries 10 and 11 encode the remaining power and blocklength as
+    # fractions of the budgets, 12 the user's rank in the slot
     p_first, _ = env.codebook.decode(acts[first].discrete_index)
     # the second user observes p_max minus the first user's applied power
-    assert states[second].remaining_power == pytest.approx(env.p_max - p_first,
-                                                           abs=1e-12)
+    assert encoded[second][10] * env.p_max == pytest.approx(env.p_max - p_first,
+                                                            abs=1e-12)
     n_first = env.blocklength_of(acts[first].continuous_param)
-    assert states[second].remaining_cbl == pytest.approx(env.n_max - n_first,
-                                                         abs=1e-9)
-    assert states[second].slot_peers[0] == pytest.approx(0.5)
-    assert states[first].slot_peers[0] == 0.0
+    assert encoded[second][11] * env.n_max == pytest.approx(env.n_max - n_first,
+                                                            abs=1e-9)
+    assert encoded[second][12] == pytest.approx(0.5)
+    assert encoded[first][12] == 0.0
+
+
+@pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
+def test_act_leaves_the_env_states_alone(agent_cls):
+    # the second user in the slot acts on budgets and a peer summary that
+    # differ from the env's state; act must build its own state to hold them
+    cfg = train_cfg(**{"topology.n_users": 2})
+    env = RisDownlinkEnv(cfg, seed=3)
+    agent = agent_cls(env, AgentConfig.from_scenario(cfg), seed=3)
+    actions, _ = agent.act(env.reset(), 1.0)
+    outcome = env.step(actions)
+    observed = [s.encode(env.p_max, env.n_max) for s in outcome.next_states]
+    _, records = agent.act(outcome.next_states, 1.0)
+    assert not np.array_equal(records[env.sid_order[1]][0], observed[env.sid_order[1]])
+    for state, enc in zip(outcome.next_states, observed, strict=True):
+        assert np.array_equal(state.encode(env.p_max, env.n_max), enc)
+        assert state.remaining_power == env.p_max and state.remaining_cbl == env.n_max
+        assert not state.slot_peers.any()
 
 
 def test_sid_order_changes_selection_when_budgets_bind():
@@ -489,10 +509,16 @@ REF_HIDDEN = [128, 128]
 REF_BATCH = 32
 
 
+def cast(net, dtype):
+    """A net of dtype holding net's weights, rounded to dtype."""
+    twin = Mlp(net.layer_dims, np.random.default_rng(0), head=net.head,
+               n_discrete=net.n_discrete, dtype=dtype)
+    twin.flat[...] = net.flat
+    return twin
+
+
 def twin64(net):
-    blob = net.to_blob()
-    blob["dtype"] = "float64"
-    return Mlp.from_blob(blob)
+    return cast(net, np.float64)
 
 
 def rel_norm(a, b):
@@ -551,12 +577,10 @@ def test_float32_optimizer_step_within_tolerance(reference_nets):
     rng = np.random.default_rng(45)
     for _ in range(3):
         optimizer_step(net64.flat, rng.normal(size=net64.flat.size), opt64)
-    blob = net64.to_blob()
-    blob["dtype"] = "float32"
-    net32 = Mlp.from_blob(blob)
-    opt_blob = opt64.to_blob(net64)
-    opt_blob["dtype"] = "float32"
-    opt32 = OptimizerState.from_blob(opt_blob, net32)
+    net32 = cast(net64, np.float32)
+    opt32 = OptimizerState(1e-3)
+    opt32.step_count = opt64.step_count
+    opt32.m, opt32.v = opt64.m.astype(np.float32), opt64.v.astype(np.float32)
     grad = rng.normal(size=net32.flat.size).astype(np.float32)
     optimizer_step(net32.flat, grad, opt32)
     optimizer_step(net64.flat, grad.astype(float), opt64)
@@ -736,6 +760,42 @@ def test_checkpoint_round_trip(tmp_path):
     third = SidPdqnAgent(env3, AgentConfig.from_scenario(other), seed=6)
     with pytest.raises(ValueError):
         load_checkpoint(str(path), third, other)
+
+
+@pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
+@pytest.mark.parametrize("steps", [0, 45])
+def test_checkpoint_holds_state_only(tmp_path, agent_cls, steps):
+    # one flat list per net and each optimizer's count and flat moments,
+    # null before its first step; the layout and the hyperparameters are
+    # the scenario's
+    import json
+    from ris_detnet.agents import CHECKPOINT_VERSION, save_checkpoint
+    cfg = train_cfg()
+    agent = agent_cls(RisDownlinkEnv(cfg, seed=7), AgentConfig.from_scenario(cfg),
+                      seed=7)
+    agent.train(episodes=1, steps=steps)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), agent, cfg)
+    blob = json.loads(path.read_text())
+    assert CHECKPOINT_VERSION == 5 and blob["version"] == 5
+    assert set(blob) == {"version", "algo", "config_hash", "rng_state", "global_step",
+                         "nets", "optimizers"}
+    assert blob["global_step"] == steps
+    nets, opts = nets_and_opts(agent)
+    names = (["actor", "critic", "critic_target"] if agent_cls is SidPdqnAgent
+             else ["q_net", "q_target"])
+    assert list(blob["nets"]) == names
+    for name, net in zip(names, nets, strict=True):
+        assert blob["nets"][name] == net.flat.tolist()
+    assert list(blob["optimizers"]) == names[:len(opts)]
+    for saved, opt in zip(blob["optimizers"].values(), opts, strict=True):
+        assert set(saved) == {"step_count", "m", "v"}
+        assert saved["step_count"] == opt.step_count
+        if steps == 0:
+            assert saved["m"] is None and saved["v"] is None and opt.step_count == 0
+        else:
+            assert opt.step_count > 0
+            assert saved["m"] == opt.m.tolist() and saved["v"] == opt.v.tolist()
 
 
 @pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])

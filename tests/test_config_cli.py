@@ -660,15 +660,108 @@ def test_cli_train_then_evaluate_round_trip(tmp_path):
                  "--checkpoint", str(ckpt)]) == 0
     assert (out2 / "evaluate.csv").read_bytes() == (out3 / "evaluate.csv").read_bytes()
     # a version-1 checkpoint holds a critic whose parameter inputs meant
-    # something else (all actions' parameters in every pass), and a
-    # version-3 one holds lists of nets: both are refused as input mistakes
-    for version in (1, 3):
+    # something else (all actions' parameters in every pass), a version-3
+    # one holds lists of nets and a version-4 one per-layer nets: all are
+    # refused as input mistakes
+    for version in (1, 3, 4):
         stale = json.loads(ckpt.read_text())
         stale["version"] = version
         stale_path = tmp_path / f"v{version}.json"
         stale_path.write_text(json.dumps(stale))
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(out3),
                      "--checkpoint", str(stale_path)]) == 1
+
+
+TINY_TRAIN = {"episodes": "1", "warmup": "4", "batch_size": "4", "hidden": "8 8",
+              "eval_episodes": "1"}
+
+
+def tiny_scenario(**agent) -> str:
+    """SMALL with one 5-step episode on 8x8 nets that learn from step 4."""
+    lines = "".join(f"{k} = {v}\n" for k, v in {**TINY_TRAIN, **agent}.items())
+    return (SMALL.replace("episodes = 2\n", "").replace("warmup = 20\n", "")
+            .replace("[agent]\n", "[agent]\n" + lines)
+            .replace("episode_steps = 10", "episode_steps = 5")
+            .replace("[run]\n", "[run]\nworkers = 1\n"))
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A scenario file and a SID-PDQN checkpoint trained on it, with live
+    Adam moments."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    cfg_path = tmp / "s.cfg"
+    cfg_path.write_text(tiny_scenario())
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "o")]) == 0
+    blob = json.loads((tmp / "o" / "checkpoint.json").read_text())
+    assert all(opt["m"] is not None for opt in blob["optimizers"].values())
+    return cfg_path, blob
+
+
+def _mt19937_state():
+    state = np.random.MT19937(0).state
+    state["state"]["key"] = state["state"]["key"].tolist()
+    return state
+
+
+def _nan_critics(blob):
+    for name in ("critic", "critic_target"):
+        blob["nets"][name][3] = math.nan
+
+
+MALFORMED_CHECKPOINTS = {
+    "net-row-short": lambda b: b["nets"]["critic"].pop(),
+    "moment-row-short": lambda b: b["optimizers"]["critic"]["m"].pop(),
+    "net-deleted": lambda b: b["nets"].pop("critic_target"),
+    "moments-are-3": lambda b: b["optimizers"]["actor"].update(m=3, v=3),
+    "one-moment-null": lambda b: b["optimizers"]["actor"].update(v=None),
+    "other-generator": lambda b: b.update(rng_state=_mt19937_state()),
+    "nan-critics": _nan_critics,
+    "fractional-step-count": lambda b: b["optimizers"]["critic"].update(step_count=2.5),
+    "negative-global-step": lambda b: b.update(global_step=-1),
+    "no-optimizers": lambda b: b.pop("optimizers"),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_CHECKPOINTS.values(),
+                         ids=MALFORMED_CHECKPOINTS.keys())
+def test_cli_malformed_checkpoint_is_config_error(tmp_path, capsys, tiny_checkpoint,
+                                                  mutate):
+    cfg_path, blob = tiny_checkpoint
+    blob = json.loads(json.dumps(blob))
+    mutate(blob)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                 "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: checkpoint") and "Traceback" not in err
+    assert not (out / "evaluate.csv").exists()
+
+
+@pytest.mark.parametrize("param,values,mode", [
+    ("codebook.phase_mode", "aligned,random", "analyze"),
+    ("agent.algo", "sid_pdqn,dqn,random", "train")])
+def test_cli_sweep_charts_text_values_in_the_order_given(tmp_path, capsys, param,
+                                                         values, mode):
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(tiny_scenario())
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--param", param, "--values", values, "--mode", mode]) == 0
+    given = values.split(",")
+    lines = capsys.readouterr().out.splitlines()
+    ylabel = "mean varpi" if mode == "analyze" else "eval reward"
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"{param}={v}" for v in given]
+    assert all(f": {ylabel}=" in line for line in lines[:-1])
+    csv_values = [line.split(",")[1] for line in
+                  (out / "sweep.csv").read_text().splitlines()[3:]]
+    assert csv_values == given
+    # one x tick per value, labelled by its text, left to right in the order given
+    ticks = {t.text: float(t.get("x")) for t in ET.parse(out / "sweep.svg").iter(
+        "{http://www.w3.org/2000/svg}text") if t.text in given}
+    assert sorted(ticks, key=ticks.get) == given
 
 
 def test_cli_sweep_train_scores_random_by_evaluate(tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -234,37 +232,6 @@ def test_float32_net_holds_its_float64_twin_weights_rounded():
     assert net32.copy().dtype == np.float32
 
 
-# ------------------------------------------------------------- persistence
-
-def test_blob_round_trip():
-    net = Mlp([3, 5, 4], np.random.default_rng(4), head="actor", n_discrete=2)
-    twin = Mlp.from_blob(net.to_blob())
-    x = np.random.default_rng(5).normal(size=3)
-    a, _ = net.forward(x)
-    b, _ = twin.forward(x)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    opt = OptimizerState(lr=0.01)
-    optimizer_step(net.flat, np.ones_like(net.flat), opt)
-    opt2 = OptimizerState.from_blob(opt.to_blob(net), net)
-    assert opt2.step_count == 1
-    assert np.allclose(opt2.m, opt.m)
-
-
-def test_blob_round_trip_keeps_float32_bitwise():
-    net = Mlp([3, 5, 4], np.random.default_rng(4), head="actor", n_discrete=2,
-              dtype=np.float32)
-    opt = OptimizerState(lr=0.01)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        optimizer_step(net.flat, rng.normal(size=net.flat.size).astype(np.float32), opt)
-    twin = Mlp.from_blob(json.loads(json.dumps(net.to_blob())))
-    opt2 = OptimizerState.from_blob(json.loads(json.dumps(opt.to_blob(net))), twin)
-    for saved, loaded in zip(net.parameters() + [opt.m, opt.v],
-                             twin.parameters() + [opt2.m, opt2.v]):
-        assert loaded.dtype == np.float32
-        assert np.array_equal(saved, loaded)
-
-
 # ------------------------------------------------------------- flat buffers
 
 def _sigmoid_reference(x):
@@ -442,27 +409,3 @@ def test_flat_clipping_equals_per_array_clipping(dtype, max_norm):
         optimizer_step(flat_net.flat, flat, flat_opt)
         per_array_steps(ref_net, want, ref_opts)
         assert np.array_equal(_bits(flat_net.flat), _bits(ref_net.flat))
-
-
-def test_optimizer_blob_splits_and_joins_flat_moments():
-    # a state that steps a net's flat array is saved per parameter array, as
-    # per-array states would hold it, and loads back flat
-    net = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
-    twin = Mlp([3, 5, 4], np.random.default_rng(4), dtype=np.float32)
-    flat_opt = OptimizerState(0.01)
-    ref_opts = [OptimizerState(0.01) for _ in twin.parameters()]
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        grad = rng.normal(size=net.flat.size).astype(np.float32)
-        optimizer_step(net.flat, grad, flat_opt)
-        per_array_steps(twin, twin.split(grad.copy()), ref_opts)
-    blob = json.loads(json.dumps(flat_opt.to_blob(net)))
-    assert blob["m"] == [o.m.tolist() for o in ref_opts]
-    assert blob["v"] == [o.v.tolist() for o in ref_opts]
-    assert blob["dtype"] == "float32" and blob["step_count"] == 3
-    loaded = OptimizerState.from_blob(blob, net)
-    for saved, back in ((flat_opt.m, loaded.m), (flat_opt.v, loaded.v)):
-        assert back.shape == net.flat.shape and back.dtype == np.float32
-        assert np.array_equal(saved, back)
-    with pytest.raises(ValueError):
-        OptimizerState.from_blob(blob, Mlp([3, 6, 4], np.random.default_rng(0)))
