@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, config_hash
-from .env import STATE_DIM, HybridAction, RisDownlinkEnv
+from .env import STATE_DIM, HybridAction, RisDownlinkEnv, with_slot_context
 from .neural import Mlp, OptimizerState, clip_global_norm, optimizer_step
 
 CHECKPOINT_VERSION = 5
@@ -132,16 +132,34 @@ class ReplayBuffer:
         }
 
 
-def _buffer(scratch: dict | None, tag: str, shape: tuple,
-            dtype: np.dtype) -> np.ndarray:
-    """An uninitialised array, kept in scratch for the next call of this
-    shape and dtype."""
+def _buffer(scratch: dict | None, tag: str, shape: tuple, dtype: np.dtype,
+            make=np.empty) -> np.ndarray:
+    """An array from make (uninitialised by default), kept in scratch for
+    the next call of this tag, shape and dtype."""
     if scratch is None:
-        return np.empty(shape, dtype)
+        return make(shape, dtype)
     key = (tag, shape, dtype)
     if key not in scratch:
-        scratch[key] = np.empty(shape, dtype)
+        scratch[key] = make(shape, dtype)
     return scratch[key]
+
+
+def _relu_zero(scratch: dict | None, shape: tuple, dtype: np.dtype):
+    """The zero pass_q's ReLUs compare against: a zeros array kept in
+    scratch and never written, or 0.0 without scratch.  np.maximum gives
+    the same bits against either; against an array of the same shape it
+    runs numpy's contiguous loop, not the broadcast one, about twice as
+    fast on a (32, 16, 128) float32 tensor."""
+    if scratch is None:
+        return 0.0
+    return _buffer(scratch, "zeros", shape, dtype, np.zeros)
+
+
+def _mean(values: list) -> float:
+    """np.mean of a list of floats to the bit: the same pairwise sum and
+    division, without np.mean's dispatch, which costs more than the sum on
+    a list this short."""
+    return float(np.add.reduce(values) / len(values))
 
 
 def pass_q(critic: Mlp, states: np.ndarray, params: np.ndarray,
@@ -153,7 +171,7 @@ def pass_q(critic: Mlp, states: np.ndarray, params: np.ndarray,
     Returns (q of shape (batch, n_discrete), cache for pass_q_param_grad),
     both in the critic's dtype.  With a scratch dict kept by the caller, the
     cache arrays are reused between calls, so a cache is valid until the
-    next call with that dict.
+    next call with that dict, which also keeps the ReLUs' zeros.
     """
     states = np.atleast_2d(np.asarray(states, dtype=critic.dtype))
     params = np.atleast_2d(np.asarray(params, dtype=critic.dtype))
@@ -166,13 +184,13 @@ def pass_q(critic: Mlp, states: np.ndarray, params: np.ndarray,
     h = _buffer(scratch, "act0", (b, n, w0.shape[0]), critic.dtype)
     np.einsum("bl,lh->blh", params, np.ascontiguousarray(w_x.T), out=h)
     h += base[:, None, :]
-    np.maximum(h, 0.0, out=h)
+    np.maximum(h, _relu_zero(scratch, h.shape, critic.dtype), out=h)
     acts = [h]
     for i, (w, bias) in enumerate(zip(critic.weights[1:-1], critic.biases[1:-1]), 1):
         h = _buffer(scratch, f"act{i}", (b, n, w.shape[0]), critic.dtype)
         np.matmul(acts[-1].reshape(b * n, -1), w.T, out=h.reshape(b * n, -1))
         h += bias
-        np.maximum(h, 0.0, out=h)
+        np.maximum(h, _relu_zero(scratch, h.shape, critic.dtype), out=h)
         acts.append(h)
     q = np.einsum("blh,lh->bl", h, critic.weights[-1]) + critic.biases[-1]
     return q, acts
@@ -209,8 +227,7 @@ def select_action(state_enc: np.ndarray, actor: Mlp, critic: Mlp, epsilon: float
     is uniform with probability epsilon, otherwise argmax_L Q_L(s, x_L),
     each Q_L from its own critic pass.  Returns (HybridAction, param_vector).
     """
-    (params, _probs), _ = actor.forward(state_enc)
-    params = params[0]
+    params = actor.actor_params(state_enc)[0]
     if rng.random() < epsilon:
         idx = int(rng.integers(codebook_size))
     else:
@@ -219,50 +236,50 @@ def select_action(state_enc: np.ndarray, actor: Mlp, critic: Mlp, epsilon: float
     return HybridAction(idx, float(params[idx])), params
 
 
-def collect_slot(states: list, order, choose, env: RisDownlinkEnv):
+def collect_slot(encoded: list, order, choose, env: RisDownlinkEnv):
     """Sequential within-slot selection with budget/action telegraphing.
 
+    encoded[u] is user u's observed state, StateVector.encode(p_max, n_max).
     Users act in the given order; choose(user, encoded_state) returns
     (HybridAction, record).  Each selection decrements the remaining
     power/blocklength budgets and updates the peer summary seen by later
-    users; the states passed in are left as they are.  Returns per-user
-    actions, the encoded states each user saw and the records.
+    users, which each user reads from its own copy of its encoding; the
+    arrays passed in are left as they are.  Returns per-user actions, the
+    encoded states each user saw and the records.
     """
-    n_users = len(states)
+    n_users = len(encoded)
     actions: list = [None] * n_users
-    encoded: list = [None] * n_users
+    seen: list = [None] * n_users
     records: list = [None] * n_users
     remaining_power = env.p_max
     remaining_cbl = env.n_max
     power_fracs: list = []
     cbl_params: list = []
     for rank, user in enumerate(order):
-        sv = replace(states[user], remaining_power=remaining_power,
-                     remaining_cbl=remaining_cbl, slot_peers=np.array([
-                         rank / max(1, n_users),
-                         float(np.mean(power_fracs)) if power_fracs else 0.0,
-                         float(np.mean(cbl_params)) if cbl_params else 0.0,
-                     ]))
-        enc = sv.encode(env.p_max, env.n_max)
+        enc = with_slot_context(encoded[user], env.p_max, env.n_max,
+                                remaining_power, remaining_cbl, (
+                                    rank / max(1, n_users),
+                                    _mean(power_fracs) if power_fracs else 0.0,
+                                    _mean(cbl_params) if cbl_params else 0.0))
         act, records[user] = choose(user, enc)
         actions[user] = act
-        encoded[user] = enc
+        seen[user] = enc
         p_req, _ = env.codebook.decode(act.discrete_index)
         n_req = env.blocklength_of(act.continuous_param)
         remaining_power = max(0.0, remaining_power - p_req)
         remaining_cbl = max(0.0, remaining_cbl - n_req)
         power_fracs.append(p_req / env.p_max)
         cbl_params.append(act.continuous_param)
-    return actions, encoded, records
+    return actions, seen, records
 
 
-def sid_collect_slot(states: list, order, actor: Mlp, critic: Mlp, epsilon: float,
+def sid_collect_slot(encoded: list, order, actor: Mlp, critic: Mlp, epsilon: float,
                      codebook, env: RisDownlinkEnv, rng: np.random.Generator):
     """SID-PDQN slot: collect_slot choosing by select_action with the nets
     shared by all users; the records are the actor's full parameter vectors."""
     def choose(user, enc):
         return select_action(enc, actor, critic, epsilon, codebook.size, rng)
-    return collect_slot(states, order, choose, env)
+    return collect_slot(encoded, order, choose, env)
 
 
 def n_step_target(batch: dict, critic_target: Mlp, actor: Mlp, gamma: float,
@@ -270,7 +287,7 @@ def n_step_target(batch: dict, critic_target: Mlp, actor: Mlp, gamma: float,
     """y = sum_i gamma^i r_{t+i} + gamma^k max_L Q(s_{t+k}, L, x_L(s_{t+k})),
     each Q_L from its own critic pass; the bootstrap term is dropped on
     episode-truncated chains."""
-    (params, _), _ = actor.forward(batch["next_states"])
+    params = actor.actor_params(batch["next_states"])
     q, _ = pass_q(critic_target, batch["next_states"], params, scratch)
     return _n_step_return(batch, gamma, q.max(axis=1))
 
@@ -399,11 +416,12 @@ class Agent:
     """The rollout loop shared by every algorithm.
 
     All users share one replay buffer and, in a learner, one set of
-    networks.  A subclass supplies act(states, epsilon) -> (actions,
-    records), with one (encoded state, action index, parameter vector)
-    record per user for the buffer (none for a policy that does not learn);
-    learn() -> (critic loss, actor loss); and, if it learns, sync_target(),
-    the target-network copy.
+    networks.  Each observed state is encoded once, by encode.  A subclass
+    supplies act(encoded, epsilon) -> (actions, records), given every
+    user's encoded state, with one (encoded state, action index, parameter
+    vector) record per user for the buffer (none for a policy that does not
+    learn); learn() -> (critic loss, actor loss); and, if it learns,
+    sync_target(), the target-network copy.
     """
 
     def __init__(self, env: RisDownlinkEnv, config: AgentConfig,
@@ -424,31 +442,36 @@ class Agent:
     def sync_target(self):
         """Copy the online nets to the target nets; nothing to copy here."""
 
+    def encode(self, states: list) -> list:
+        """Each user's StateVector as the network input act reads; the
+        records' next states are these arrays too."""
+        env = self.env
+        return [s.encode(env.p_max, env.n_max) for s in states]
+
     def train(self, episodes: int, steps: int, log: TrainingLog | None = None) -> TrainingLog:
         log = log or TrainingLog()
         cfg = self.config
         env = self.env
         for ep in range(episodes):
-            states = env.reset()
+            encoded = self.encode(env.reset())
             assemblers = [NStepAssembler(cfg.n_step, cfg.gamma_discount)
                           for _ in range(env.n_users)]
             ep_rewards = []
             for _ in range(steps):
                 eps = cfg.epsilon.value(self.global_step)
-                actions, records = self.act(states, eps)
+                actions, records = self.act(encoded, eps)
                 outcome = env.step(actions)
+                encoded = self.encode(outcome.next_states)
                 for u, rec in enumerate(records):
-                    next_enc = outcome.next_states[u].encode(env.p_max, env.n_max)
-                    for n_rec in assemblers[u].push(*rec, outcome.reward, next_enc):
+                    for n_rec in assemblers[u].push(*rec, outcome.reward, encoded[u]):
                         self.buffer.insert(*n_rec)
                 closs, aloss = self.learn()
                 ep_rewards.append(outcome.reward)
                 log.append(episode=ep, step=self.global_step, epsilon=eps,
                            reward=outcome.reward,
-                           mean_episode_reward=float(np.mean(ep_rewards)),
+                           mean_episode_reward=_mean(ep_rewards),
                            critic_loss=closs, actor_loss=aloss,
                            buffer_fill=len(self.buffer))
-                states = outcome.next_states
                 self.global_step += 1
                 if self.global_step % cfg.target_sync == 0:
                     self.sync_target()
@@ -464,14 +487,14 @@ class Agent:
         varpis = np.zeros(env.n_users)
         count = 0
         for _ in range(episodes):
-            states = env.reset()
+            encoded = self.encode(env.reset())
             for _ in range(steps):
-                actions, _ = self.act(states, 0.0)
+                actions, _ = self.act(encoded, 0.0)
                 outcome = env.step(actions, profile="eval")
                 rewards.append(outcome.reward)
                 varpis += np.asarray(outcome.per_user_varpi)
                 count += 1
-                states = outcome.next_states
+                encoded = self.encode(outcome.next_states)
         mean_varpi = (varpis / max(count, 1)).tolist()
         return float(np.mean(rewards)) if rewards else math.nan, mean_varpi
 
@@ -571,12 +594,12 @@ class SidPdqnAgent(Agent):
         # size come from the OS and page-fault on every step
         self.scratch: dict = {}
 
-    def act(self, states: list, epsilon: float):
-        actions, encoded, params = sid_collect_slot(
-            states, self.env.sid_order, self.actor, self.critic, epsilon,
+    def act(self, encoded: list, epsilon: float):
+        actions, seen, params = sid_collect_slot(
+            encoded, self.env.sid_order, self.actor, self.critic, epsilon,
             self.env.codebook, self.env, self.rng)
         return actions, [(e, a.discrete_index, p)
-                         for a, e, p in zip(actions, encoded, params)]
+                         for a, e, p in zip(actions, seen, params)]
 
     def learn(self):
         cfg = self.config
@@ -627,7 +650,7 @@ class DqnAgent(Agent):
         grid = len(self.cbl_grid)
         return HybridAction(flat // grid, float(self.cbl_grid[flat % grid]))
 
-    def act(self, states: list, epsilon: float):
+    def act(self, encoded: list, epsilon: float):
         def choose(user, enc):
             if self.rng.random() < epsilon:
                 flat = int(self.rng.integers(self.n_actions))
@@ -636,9 +659,9 @@ class DqnAgent(Agent):
                 flat = int(np.argmax(q[0]))
             return self.flat_to_hybrid(flat), flat
 
-        actions, encoded, flats = collect_slot(states, self.env.sid_order, choose,
-                                               self.env)
-        return actions, [(e, f, self.no_param) for e, f in zip(encoded, flats)]
+        actions, seen, flats = collect_slot(encoded, self.env.sid_order, choose,
+                                            self.env)
+        return actions, [(e, f, self.no_param) for e, f in zip(seen, flats)]
 
     def learn(self):
         cfg = self.config
@@ -671,7 +694,10 @@ class RandomPolicy(Agent):
                          epsilon=EpsilonSchedule(1.0, 1.0, 0))
         super().__init__(env, config, rng, 0)
 
-    def act(self, states: list, epsilon: float):
+    def encode(self, states: list) -> list:
+        return states                   # act reads no state
+
+    def act(self, encoded: list, epsilon: float):
         return [HybridAction(int(self.rng.integers(self.env.codebook.size)),
                              float(self.rng.random()))
                 for _ in range(self.env.n_users)], []

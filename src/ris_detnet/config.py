@@ -326,6 +326,12 @@ def _validate(cfg: ScenarioConfig):
         raise ConfigError("[agent] gamma must be in [0, 1]")
     if ag["alpha"] <= 0 or ag["beta"] <= 0:
         raise ConfigError("[agent] learning rates must be positive")
+    # the first learn step waits for this many stored transitions
+    first_batch = max(cfg.warmup_transitions, ag["batch_size"])
+    if first_batch > ag["buffer_capacity"]:
+        raise ConfigError(f"[agent] buffer_capacity = {ag['buffer_capacity']} must be >= "
+                          f"max(warmup, batch_size) = {first_batch} (warmup auto: "
+                          f"max(batch_size, 500)), or the learner never takes a step")
 
 
 def default_config() -> ScenarioConfig:

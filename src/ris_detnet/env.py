@@ -115,6 +115,19 @@ class StateVector:
 STATE_DIM = 15
 
 
+def with_slot_context(enc: np.ndarray, p_max: float, n_max: float,
+                      remaining_power: float, remaining_cbl: float,
+                      slot_peers) -> np.ndarray:
+    """A copy of a StateVector.encode array with the budgets left (entries
+    10, 11) and the peer summary (12-14) replaced: to the bit, encode() of
+    the state that holds them."""
+    out = enc.copy()
+    out[10] = remaining_power / p_max
+    out[11] = remaining_cbl / n_max
+    out[12:] = slot_peers
+    return out
+
+
 @dataclass
 class ProjectedAllocation:
     """Budget-feasible per-user allocation after proportional scaling."""
@@ -287,8 +300,10 @@ class RisDownlinkEnv:
     def project_actions(self, actions: list) -> ProjectedAllocation:
         """Proportional scaling onto the power and blocklength budgets.
 
-        The applied RIS codeword is the one selected by the first user in
-        the slot's round-robin order (the RIS is shared).
+        Each scaled blocklength is at least min(n_floor, n_max / n_users);
+        see _scale_blocklengths.  The applied RIS codeword is the one
+        selected by the first user in the slot's round-robin order (the RIS
+        is shared).
         """
         if len(actions) != self.n_users:
             raise ValueError("need one action per user")
@@ -305,10 +320,28 @@ class RisDownlinkEnv:
             powers *= self.p_max / powers.sum()
         cbl_scaled = cbls.sum() > self.n_max * (1 + 1e-12)
         if cbl_scaled:
-            cbls *= self.n_max / cbls.sum()
-            cbls = np.maximum(cbls, min(self.n_floor, self.n_max / self.n_users))
+            cbls = self._scale_blocklengths(cbls)
         return ProjectedAllocation(powers, cbls, int(cw_by_user[self.sid_order[0]]),
                                    power_scaled, cbl_scaled)
+
+    def _scale_blocklengths(self, cbls: np.ndarray) -> np.ndarray:
+        """Blocklengths scaled to sum to n_max, none below the floor
+        min(n_floor, n_max / n_users), which n_users floors fit in.  A user
+        that scaling would put below the floor gets it, and the others are
+        scaled into the budget the floored users leave, until no new user
+        falls below.  With no user below, this is the plain scaling."""
+        floor = min(self.n_floor, self.n_max / self.n_users)
+        out = np.full_like(cbls, floor)
+        free = np.ones(len(cbls), dtype=bool)
+        while free.any():
+            budget = self.n_max - floor * np.count_nonzero(~free)
+            scaled = cbls[free] * (budget / cbls[free].sum())
+            low = scaled < floor
+            if not low.any():
+                out[free] = scaled
+                break
+            free[np.flatnonzero(free)[low]] = False
+        return out
 
     def step(self, actions: list, profile: str = "train") -> StepOutcome:
         """Project, score every user's determinacy under the quadrature
@@ -320,7 +353,9 @@ class RisDownlinkEnv:
         varpis = [r.varpi for r in results]
         vacuous = [r.clamped["vacuous"] for r in results]
         n_viol = int(alloc.power_scaled) + int(alloc.cbl_scaled)
-        reward = max(0.0, float(np.mean(varpis)) - self.violation_penalty * n_viol)
+        # np.mean's sum and division, without its dispatch
+        mean_varpi = float(np.add.reduce(varpis) / len(varpis))
+        reward = max(0.0, mean_varpi - self.violation_penalty * n_viol)
 
         self._last_theta = self.codebook.phase_codewords[alloc.codeword_index]
         self._next_fading()

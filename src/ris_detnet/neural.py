@@ -104,9 +104,9 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def forward(self, x):
-        """Returns (output, cache).  Identity head: output is the last
-        pre-activation; actor head: output is (params, probs)."""
+    def _layers(self, x):
+        """(acts, pre): the input and each hidden ReLU output, then the last
+        pre-activation."""
         x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         if x.shape[1] != self.layer_dims[0]:
             raise ValueError(f"input width {x.shape[1]} != {self.layer_dims[0]}")
@@ -116,6 +116,12 @@ class Mlp:
             pre = acts[-1] @ w.T + b
             if i < self.n_layers - 1:
                 acts.append(relu(pre))
+        return acts, pre
+
+    def forward(self, x):
+        """Returns (output, cache).  Identity head: output is the last
+        pre-activation; actor head: output is (params, probs)."""
+        acts, pre = self._layers(x)
         if self.head == "identity":
             out = pre
             cache = (acts, pre, None)
@@ -126,6 +132,12 @@ class Mlp:
             out = (params, probs)
             cache = (acts, pre, (params, probs))
         return out, cache
+
+    def actor_params(self, x) -> np.ndarray:
+        """The actor head's continuous parameters alone: forward's params to
+        the bit, with no probabilities and no cache."""
+        _, pre = self._layers(x)
+        return sigmoid(pre[:, :self.n_discrete])
 
     def backward(self, cache, grad_out):
         """Exact gradients of the forward map.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,10 @@ def env_for_sid(n_users, p_max=1.0, **overrides):
     return RisDownlinkEnv(cfg, seed=3)
 
 
+def encode_all(env, states):
+    return [s.encode(env.p_max, env.n_max) for s in states]
+
+
 def test_sid_single_user_equals_select_action():
     env = env_for_sid(1)
     states = env.reset(episode=0)
@@ -211,9 +216,9 @@ def test_sid_single_user_equals_select_action():
     enc = states[0].encode(env.p_max, env.n_max)
     want, _ = select_action(enc, actor, critic, 0.0, env.codebook.size,
                             np.random.default_rng(7))
-    acts, encoded, _ = sid_collect_slot(env.reset(episode=0), env.sid_order,
-                                        actor, critic, 0.0, env.codebook, env,
-                                        np.random.default_rng(7))
+    acts, encoded, _ = sid_collect_slot(encode_all(env, env.reset(episode=0)),
+                                        env.sid_order, actor, critic, 0.0,
+                                        env.codebook, env, np.random.default_rng(7))
     assert acts[0].discrete_index == want.discrete_index
     assert acts[0].continuous_param == want.continuous_param
     assert np.array_equal(encoded[0], enc)
@@ -225,8 +230,9 @@ def test_sid_budget_telegraphing():
     from ris_detnet.env import STATE_DIM as SD
     actor = make_actor(0, SD, env.codebook.size)
     critic = make_critic(1, SD, env.codebook.size)
-    acts, encoded, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
-                                        env.codebook, env, np.random.default_rng(7))
+    acts, encoded, _ = sid_collect_slot(encode_all(env, states), env.sid_order, actor,
+                                        critic, 0.0, env.codebook, env,
+                                        np.random.default_rng(7))
     first, second = env.sid_order
     # entries 10 and 11 encode the remaining power and blocklength as
     # fractions of the budgets, 12 the user's rank in the slot
@@ -244,19 +250,52 @@ def test_sid_budget_telegraphing():
 @pytest.mark.parametrize("agent_cls", [SidPdqnAgent, DqnAgent])
 def test_act_leaves_the_env_states_alone(agent_cls):
     # the second user in the slot acts on budgets and a peer summary that
-    # differ from the env's state; act must build its own state to hold them
+    # differ from the env's state; act must write them into its own copy of
+    # the encoding, which the replay records also hold as the next state
     cfg = train_cfg(**{"topology.n_users": 2})
     env = RisDownlinkEnv(cfg, seed=3)
     agent = agent_cls(env, AgentConfig.from_scenario(cfg), seed=3)
-    actions, _ = agent.act(env.reset(), 1.0)
+    actions, _ = agent.act(agent.encode(env.reset()), 1.0)
     outcome = env.step(actions)
-    observed = [s.encode(env.p_max, env.n_max) for s in outcome.next_states]
-    _, records = agent.act(outcome.next_states, 1.0)
+    observed = agent.encode(outcome.next_states)
+    given = [enc.copy() for enc in observed]
+    _, records = agent.act(observed, 1.0)
     assert not np.array_equal(records[env.sid_order[1]][0], observed[env.sid_order[1]])
-    for state, enc in zip(outcome.next_states, observed, strict=True):
+    for state, enc, before in zip(outcome.next_states, observed, given, strict=True):
+        assert np.array_equal(enc, before)
         assert np.array_equal(state.encode(env.p_max, env.n_max), enc)
         assert state.remaining_power == env.p_max and state.remaining_cbl == env.n_max
         assert not state.slot_peers.any()
+
+
+def test_acting_encoding_equals_the_replaced_state_encoded():
+    # collect_slot writes the slot's context into a copy of each observed
+    # encoding; that copy must be, to the bit, the encoding of the state
+    # holding the same budgets left and peer summary, at every rank; budgets
+    # that are not powers of two, so each division rounds
+    env = env_for_sid(3, p_max=0.7, **{"budget.n_max": 300})
+    states = env.reset(episode=0)
+    actor = make_actor(0, ENV_STATE_DIM, env.codebook.size)
+    critic = make_critic(1, ENV_STATE_DIM, env.codebook.size)
+    rng = np.random.default_rng(4)
+    acts, encoded, _ = sid_collect_slot(encode_all(env, states), env.sid_order, actor,
+                                        critic, 0.5, env.codebook, env, rng)
+    remaining_power, remaining_cbl = env.p_max, env.n_max
+    power_fracs, cbl_params = [], []
+    for rank, user in enumerate(env.sid_order):
+        want = replace(states[user], remaining_power=remaining_power,
+                       remaining_cbl=remaining_cbl, slot_peers=np.array([
+                           rank / 3,
+                           float(np.mean(power_fracs)) if power_fracs else 0.0,
+                           float(np.mean(cbl_params)) if cbl_params else 0.0]))
+        assert encoded[user].tobytes() == want.encode(env.p_max, env.n_max).tobytes()
+        p_req, _ = env.codebook.decode(acts[user].discrete_index)
+        remaining_power = max(0.0, remaining_power - p_req)
+        remaining_cbl = max(0.0, remaining_cbl
+                            - env.blocklength_of(acts[user].continuous_param))
+        power_fracs.append(p_req / env.p_max)
+        cbl_params.append(acts[user].continuous_param)
+    assert remaining_power < env.p_max and len(set(cbl_params)) == 3
 
 
 def test_sid_order_changes_selection_when_budgets_bind():
@@ -276,8 +315,9 @@ def test_sid_order_changes_selection_when_budgets_bind():
     per_user = []
     for episode in (0, 1):            # rotation permutes the order
         states = env.reset(episode=episode)
-        acts, _, _ = sid_collect_slot(states, env.sid_order, actor, critic, 0.0,
-                                      env.codebook, env, np.random.default_rng(1))
+        acts, _, _ = sid_collect_slot(encode_all(env, states), env.sid_order, actor,
+                                      critic, 0.0, env.codebook, env,
+                                      np.random.default_rng(1))
         per_user.append([a.discrete_index for a in acts])
     assert per_user[0] == [0, 1]
     assert per_user[1] == [1, 0]
@@ -519,6 +559,40 @@ def cast(net, dtype):
 
 def twin64(net):
     return cast(net, np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pass_q_kept_zeros_relu_equals_scalar_relu_bitwise(dtype):
+    # with a scratch dict the ReLUs compare against a kept zeros array,
+    # without one against 0.0; both must give the same bits, inputs holding
+    # +-0.0, NaN and inf included
+    critic = cast(Mlp([ENV_STATE_DIM + REF_L, *REF_HIDDEN, REF_L],
+                      np.random.default_rng(6)), dtype)
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(REF_BATCH, ENV_STATE_DIM))
+    params = rng.random((REF_BATCH, REF_L))
+    states[0], states[1], params[1] = 0.0, -0.0, -0.0
+    params[2, :3] = (np.nan, -np.nan, np.inf)
+    states[3, 4] = np.nan
+    scratch = {}
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):                  # fresh, then reused, scratch arrays
+            got, got_acts = pass_q(critic, states, params, scratch)
+            want, want_acts = pass_q(critic, states, params)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            assert [a.tobytes() for a in got_acts] == [a.tobytes() for a in want_acts]
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    assert not any(z.any() for (tag, _, _), z in scratch.items() if tag == "zeros")
+    # the passes above cannot put -0.0 before a ReLU, so the comparison
+    # itself is checked on signed zeros, NaNs, infinities and subnormals
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                        info.smallest_subnormal, -info.smallest_subnormal, -1.0, 1.0],
+                       dtype=dtype)
+    h = np.tile(special, REF_BATCH * REF_L * 16).reshape(REF_BATCH, REF_L, -1)
+    assert (np.maximum(h, np.zeros_like(h)).tobytes()
+            == np.maximum(h, 0.0).tobytes())
 
 
 def rel_norm(a, b):

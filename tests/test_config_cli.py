@@ -158,6 +158,17 @@ def test_hostile_config_is_config_error(text, where):
         load_config_text(text)
 
 
+def test_buffer_must_hold_the_first_batch():
+    # the auto warmup is max(batch_size, 500) stored transitions
+    for text in ("buffer_capacity = 200\n", "warmup = 64\nbuffer_capacity = 63\n",
+                 "warmup = 1\nbatch_size = 64\nbuffer_capacity = 63\n"):
+        with pytest.raises(ConfigError, match=re.escape("[agent] buffer_capacity")):
+            load_config_text(f"[agent]\n{text}")
+    for text in ("buffer_capacity = 500\n", "warmup = 64\nbuffer_capacity = 64\n",
+                 "warmup = 1\nbatch_size = 64\nbuffer_capacity = 64\n"):
+        load_config_text(f"[agent]\n{text}")
+
+
 FLOAT_KEYS = [(section, key, parser) for section, keys in SCHEMA.items()
               for key, (parser, _) in keys.items()
               if parser in (config_module._parse_float, config_module._parse_auto_float,
@@ -290,6 +301,19 @@ def test_cli_hostile_config_exits_cleanly(tmp_path, command, section, line):
     proc = run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert proc.returncode == 1
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_train_with_a_buffer_below_the_warmup_is_config_error(tmp_path, capsys):
+    # 200 slots under the auto warmup of 500: every loss would be NaN and
+    # the checkpoint would hold the untrained nets
+    cfg_path = tmp_path / "s.cfg"
+    cfg_path.write_text(SMALL.replace("warmup = 20\n", "buffer_capacity = 200\n"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "[agent] buffer_capacity" in err
+    assert not (out / "checkpoint.json").exists()
+    assert not (out / "train_log.csv").exists()
 
 
 @pytest.mark.parametrize("text,argv,key", [

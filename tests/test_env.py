@@ -121,15 +121,38 @@ def test_projection_splits_power_budget():
 
 
 def test_projection_budgets_hold_on_random_actions():
-    env = RisDownlinkEnv(scenario(n_users=3), seed=4)
+    # auto ceiling (n_max / n_users, never scaled), then explicit ceilings
+    # above it, where scaling puts users below the floor min(n_floor,
+    # n_max / n_users) unless the floored users' share is taken out first
+    for n_floor, n_ceiling in ((16, None), (16, 200.0), (16, 1000.0), (80, 256.0),
+                               (100, 300.0)):
+        env = RisDownlinkEnv(scenario(n_users=3, **{"codebook.n_floor": n_floor,
+                                                    "codebook.n_ceiling": n_ceiling}),
+                             seed=4)
+        env.reset(episode=0)
+        floor = min(n_floor, env.n_max / 3)
+        rng = np.random.default_rng(0)
+        floored = 0
+        for _ in range(1000):
+            acts = [HybridAction(int(rng.integers(env.codebook.size)),
+                                 float(rng.random()) ** 4) for _ in range(3)]
+            alloc = env.project_actions(acts)
+            assert alloc.powers.sum() <= env.p_max * (1 + 1e-9)
+            assert alloc.blocklengths.sum() <= env.n_max * (1 + 1e-9)
+            assert alloc.blocklengths.min() >= floor * (1 - 1e-12)
+            if alloc.cbl_scaled:
+                assert alloc.blocklengths.sum() == pytest.approx(env.n_max, rel=1e-12)
+                floored += np.count_nonzero(alloc.blocklengths == floor)
+        assert (floored > 0) == (n_ceiling is not None)
+
+
+def test_projection_scales_the_unfloored_into_the_budget_left():
+    env = RisDownlinkEnv(scenario(**{"budget.n_max": 40, "codebook.n_floor": 16,
+                                     "codebook.n_ceiling": 100.0}), seed=4)
     env.reset(episode=0)
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        acts = [HybridAction(int(rng.integers(env.codebook.size)),
-                             float(rng.random())) for _ in range(3)]
-        alloc = env.project_actions(acts)
-        assert alloc.powers.sum() <= env.p_max * (1 + 1e-9)
-        assert alloc.blocklengths.sum() <= env.n_max * (1 + 1e-9)
+    alloc = env.project_actions([HybridAction(0, 1.0), HybridAction(0, 0.0)])
+    assert alloc.cbl_scaled
+    assert alloc.blocklengths.tolist() == [24.0, 16.0]
 
 
 def test_shared_codeword_follows_priority_user():

@@ -77,6 +77,20 @@ def test_actor_head_outputs():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_actor_params_equal_forward_params_bitwise(dtype):
+    # the acting and target paths read actor_params where they read
+    # forward's params; the reference layout, one row and a replay batch
+    net = Mlp([15, 128, 128, 32], np.random.default_rng(4), head="actor",
+              n_discrete=16, dtype=dtype)
+    rng = np.random.default_rng(5)
+    for x in (rng.normal(size=15), rng.normal(size=(1, 15)), rng.normal(size=(32, 15))):
+        (params, _), _ = net.forward(x)
+        got = net.actor_params(x)
+        assert got.dtype == params.dtype == dtype and got.shape == params.shape
+        assert got.tobytes() == params.tobytes()
+
+
 def test_softmax_extreme_logits_stable():
     p = softmax(np.array([[1000.0, 0.0, -1000.0]]))
     assert np.allclose(p.sum(), 1.0)
